@@ -40,7 +40,6 @@ from .constructions import (
     gadget_family,
     greedy_partial_steiner,
     random_ell_tree,
-    root_edge,
     star_tree,
     verify_ell_tree,
 )

@@ -1,16 +1,17 @@
 """Exact arrow decisions and the adversarial coloring constructions.
 
-arrows() decides H -> G by DFS over 2-colorings with color-swap symmetry
-broken on the first edge.  Monochromatic-copy checks run against the
-precomputed inclusion-minimal copy masks, so a partial coloring is pruned
-as soon as its fully colored edges already contain a copy.
+arrows() decides H -> G by DFS over 2-colorings of the edges that lie in
+some copy of G, with color-swap symmetry broken on the first such edge.
+Monochromatic-copy checks run against the precomputed copy masks, so a
+partial coloring is pruned as soon as its fully colored edges already
+contain a copy.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -72,14 +73,19 @@ def arrows(
     if not masks:
         # pattern does not embed at all; any coloring is a certificate
         cert = EdgeColoring(host, tuple(RED for _ in range(m)))
-        assert _verify_certificate(host, pattern, cert)
+        if not _verify_certificate(host, pattern, cert):
+            raise AssertionError("certificate has a monochromatic copy")
         return ArrowVerdict(ArrowResult.NOT_ARROWS, cert, 0)
     if masks[0] == 0:
         # edgeless pattern embeds regardless of colors
         return ArrowVerdict(ArrowResult.ARROWS, None, 0)
 
     budget = Budget(node_cap)
-    full = (1 << m) - 1
+    # edges in no copy never decide anything; they stay red in a certificate
+    covered = 0
+    for cm in masks:
+        covered |= cm
+    order = [i for i in range(m) if covered >> i & 1]
 
     def mono(colored_mask: int) -> bool:
         return any(cm & colored_mask == cm for cm in masks)
@@ -92,24 +98,24 @@ def arrows(
         budget.spend()
         if mono(red) or mono(blue):
             return True
-        if idx == m:
+        if idx == len(order):
             certificate_mask = red
             return False
-        bit = 1 << idx
+        bit = 1 << order[idx]
         return dfs(idx + 1, red | bit, blue) and dfs(idx + 1, red, blue | bit)
 
     try:
-        # color-swap symmetry: fix edge 0 red
-        ok = dfs(1, 1, 0)
+        # color-swap symmetry: fix the first covered edge red
+        ok = dfs(1, 1 << order[0], 0)
     except BudgetExceededError:
         return ArrowVerdict(ArrowResult.UNKNOWN, None, budget.used)
     if ok:
         return ArrowVerdict(ArrowResult.ARROWS, None, budget.used)
-    colors = tuple(
-        RED if certificate_mask >> i & 1 else BLUE for i in range(m)
-    )
+    blue = covered & ~certificate_mask
+    colors = tuple(BLUE if blue >> i & 1 else RED for i in range(m))
     cert = EdgeColoring(host, colors)
-    assert _verify_certificate(host, pattern, cert)
+    if not _verify_certificate(host, pattern, cert):
+        raise AssertionError("certificate has a monochromatic copy")
     return ArrowVerdict(ArrowResult.NOT_ARROWS, cert, budget.used)
 
 

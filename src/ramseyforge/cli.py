@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from typing import Optional
 
 from . import __version__
@@ -48,6 +49,7 @@ from .hypergraph import (
 )
 from .embedding import find_copy
 from .randomlab import (
+    AccountingReport,
     GnpParams,
     clique_stats,
     gnp,
@@ -85,6 +87,8 @@ def _load_hypergraph(path: str) -> KUniformHypergraph:
 def _load_coloring(path: str, host: KUniformHypergraph) -> EdgeColoring:
     with open(path) as fh:
         colors = json.load(fh)
+    if not isinstance(colors, list) or not all(isinstance(c, str) for c in colors):
+        raise ValueError(f"{path}: a coloring must be a list of color strings")
     return EdgeColoring.from_list(host, colors)
 
 
@@ -356,23 +360,9 @@ def _cmd_randomlab(args) -> int:
             for r in account.rounds
         ],
         "accounting": {
-            "sought_color": account.sought_color,
-            "t_sought": account.t_sought,
-            "t_other": account.t_other,
-            "t_k": account.t_k,
-            "sum_x": account.sum_x,
-            "sum_y": account.sum_y,
-            "z_c": account.z_c,
-            "c_set": list(account.c_set),
-            "found_path": (
-                list(account.found_path) if account.found_path else None
-            ),
-            "verdict_sought_bound": account.verdict_sought_bound,
-            "verdict_x_bound": account.verdict_x_bound,
-            "max_edge_x_count": account.max_edge_x_count,
-            "trash_families_disjoint": account.trash_families_disjoint,
-            "round_cap": account.round_cap,
-            "round_cap_exceeded": account.round_cap_exceeded,
+            f.name: getattr(account, f.name)
+            for f in fields(AccountingReport)
+            if f.name != "rounds"
         },
     }
     config = {

@@ -8,6 +8,7 @@ parallel.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -175,14 +176,6 @@ def binary_tree_leaves(t: int) -> list[int]:
     return list(range(2**t - 1, 2 ** (t + 1) - 1))
 
 
-ROOT_VERTEX = 0
-
-
-def root_edge(t: int) -> tuple[int, int, int]:
-    """The unique edge of binary_three_tree(t) containing the root."""
-    return (0, 1, 2)
-
-
 @dataclass(frozen=True)
 class GadgetSpec:
     """Depth of the binary 3-tree plus the leaf order carrying the tight path."""
@@ -315,14 +308,8 @@ def greedy_partial_steiner(params: SteinerParams) -> SteinerResult:
         edges.append(e)
         used_t.update(subs)
     h = KUniformHypergraph.from_edges(k, N, edges)
-    ceiling = _comb(N, t) / _comb(k, t)
+    ceiling = math.comb(N, t) / math.comb(k, t)
     return SteinerResult(h, len(edges) / ceiling, params)
-
-
-def _comb(a: int, b: int) -> int:
-    import math
-
-    return math.comb(a, b)
 
 
 def clique_hypergraph(g: KUniformHypergraph, k: int) -> KUniformHypergraph:

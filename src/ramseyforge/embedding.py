@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Collection, Iterator, Optional
 
 from .errors import Budget
 from .hypergraph import EdgeColoring, KUniformHypergraph
@@ -44,9 +44,9 @@ def _allowed_edges(
     host: KUniformHypergraph,
     coloring: Optional[EdgeColoring],
     color: Optional[str],
-) -> set[frozenset]:
+) -> Collection[frozenset]:
     if color is None:
-        return set(host.edge_sets())
+        return host.edge_index.keys()
     if coloring is None:
         raise ValueError("a color filter requires a coloring")
     return {
@@ -151,10 +151,12 @@ def copy_edge_masks(
     node_cap: int = 10_000_000,
 ) -> list[int]:
     """Distinct bitmasks (over host edge indices) of the edge sets of all
-    copies of pattern in host, reduced to inclusion-minimal masks.
+    copies of pattern in host, in increasing order.
 
     A coloring contains a monochromatic copy iff one of these masks is
     monochromatic, which is what the arrow search checks at every node.
+    Every mask has |E(pattern)| bits, since a vertex-injective map sends
+    distinct edges to distinct edges, so no mask contains another.
     """
     if pattern.n > host.n:
         return []
@@ -166,18 +168,14 @@ def copy_edge_masks(
         return []
     if core.num_edges == 0:
         return [0]
-    index = {es: i for i, es in enumerate(host.edge_sets())}
+    index = host.edge_index
     masks: set[int] = set()
     for mapping in enumerate_copies(core, host, node_cap=node_cap):
         mask = 0
         for es in core.edge_sets():
             mask |= 1 << index[frozenset(mapping[v] for v in es)]
         masks.add(mask)
-    minimal = [
-        m for m in masks if not any(o != m and o & m == o for o in masks)
-    ]
-    minimal.sort(key=lambda m: (bin(m).count("1"), m))
-    return minimal
+    return sorted(masks)
 
 
 @dataclass(frozen=True)
@@ -284,5 +282,6 @@ def greedy_tree_embed(
             except StopIteration:
                 return EmbedFailure((v,), tree.num_edges)
     emb = Embedding(tuple(full))
-    assert emb.is_valid(tree, host)
+    if not emb.is_valid(tree, host):
+        raise AssertionError("greedy embedding is not a valid copy")
     return emb

@@ -11,9 +11,10 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from functools import cached_property
+from typing import Iterable, Optional
 
-from .errors import Budget, BudgetExceededError
+from .errors import Budget
 
 RED = "R"
 BLUE = "B"
@@ -22,6 +23,10 @@ COLORS = (RED, BLUE)
 
 def opposite(color: str) -> str:
     return BLUE if color == RED else RED
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -70,8 +75,13 @@ class KUniformHypergraph:
     def edge_sets(self) -> tuple[frozenset, ...]:
         return self._edge_sets  # type: ignore[attr-defined]
 
+    @cached_property
+    def edge_index(self) -> dict[frozenset, int]:
+        """Edge set -> position in the edge list, built on first use."""
+        return {es: i for i, es in enumerate(self.edge_sets())}
+
     def is_edge(self, vertices: Iterable[int]) -> bool:
-        return frozenset(vertices) in set(self.edge_sets())
+        return frozenset(vertices) in self.edge_index
 
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
@@ -125,7 +135,17 @@ class KUniformHypergraph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "KUniformHypergraph":
-        return cls(data["k"], data["n"], tuple(tuple(e) for e in data["edges"]))
+        """Inverse of to_dict; raises ValueError on mistyped fields."""
+        if not isinstance(data, dict):
+            raise ValueError("a hypergraph must be a JSON object")
+        k, n, edges = data["k"], data["n"], data["edges"]
+        if not (_is_int(k) and _is_int(n)):
+            raise ValueError("k and n must be integers")
+        if not isinstance(edges, list) or not all(
+            isinstance(e, list) and all(_is_int(v) for v in e) for e in edges
+        ):
+            raise ValueError("edges must be a list of lists of integer vertices")
+        return cls(k, n, tuple(tuple(e) for e in edges))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -150,9 +170,11 @@ class EdgeColoring:
                 raise ValueError(f"bad color {c!r}")
 
     def color_of(self, edge: Iterable[int]) -> str:
-        key = tuple(sorted(edge))
-        idx = self.host.edges.index(key)
-        return self.colors[idx]
+        key = frozenset(edge)
+        try:
+            return self.colors[self.host.edge_index[key]]
+        except KeyError:
+            raise ValueError(f"{sorted(key)} is not an edge of the host") from None
 
     def indices_of(self, color: str) -> list[int]:
         return [i for i, c in enumerate(self.colors) if c == color]
@@ -269,7 +291,7 @@ def _match(
         if c1[u] != c2[v]:
             return 0, None
 
-    edge_set2 = set(h2.edge_sets())
+    edge_index2 = h2.edge_index
     # edges of h1 grouped by the position of their last-mapped vertex
     order = sorted(range(h1.n), key=lambda v: (c1[v], v))
     pos = {v: i for i, v in enumerate(order)}
@@ -306,7 +328,7 @@ def _match(
             mapping[u] = w
             used.add(w)
             ok = all(
-                frozenset(mapping[x] for x in e) in edge_set2
+                frozenset(mapping[x] for x in e) in edge_index2
                 for e in edges_closing_at[i]
             )
             if ok and place(i + 1):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .constructions import enumerate_cliques
-from .hypergraph import BLUE, RED, EdgeColoring, KUniformHypergraph
+from .hypergraph import EdgeColoring, KUniformHypergraph
 
 TRASH_FULL = "TrashFull"
 NO_SEED = "NoSeed"

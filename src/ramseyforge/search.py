@@ -12,13 +12,12 @@ from .constructions import (
     SteinerParams,
     blowup_path_host,
     clique,
-    clique_hypergraph,
     ell_path,
     find_ell_tree_order,
     greedy_partial_steiner,
 )
 from .errors import CapsTooSmallError
-from .hypergraph import EdgeColoring, KUniformHypergraph, are_isomorphic
+from .hypergraph import KUniformHypergraph, are_isomorphic
 
 ALL_STRATEGIES = ("clique-host", "steiner-host", "blowup-host", "random-host")
 
@@ -29,7 +28,6 @@ class SizeRamseyBound:
     lower: int
     upper: Optional[int]
     witness_host: Optional[KUniformHypergraph]
-    witness_certificate: Optional[EdgeColoring] = None  # unused; arrows has none
     methods: dict = field(default_factory=dict)  # strategy -> edge count
     caps: dict = field(default_factory=dict)  # recorded search caps, exact mode
 
@@ -202,7 +200,6 @@ def enumerate_hosts(k: int, num_edges: int, vcap: int) -> Iterator[KUniformHyper
                 yield h
             return
         # a new edge may introduce up to k fresh vertices, consecutively
-        remaining = num_edges - len(edges)
         for fresh in range(0, k + 1):
             if used + fresh > vcap:
                 break
@@ -222,7 +219,6 @@ def size_ramsey_exact_tiny(
     vcap: int = 9,
     ecap: int = 12,
     node_cap: int = 100_000_000,
-    dedup_isomorphic: bool = True,
 ) -> SizeRamseyBound:
     """Exact size-Ramsey number under the stated host caps.
 
@@ -234,7 +230,7 @@ def size_ramsey_exact_tiny(
     for m in range(floor, ecap + 1):
         kept: list[KUniformHypergraph] = []
         for host in enumerate_hosts(pattern.k, m, vcap):
-            if dedup_isomorphic and any(are_isomorphic(host, other) for other in kept):
+            if any(are_isomorphic(host, other) for other in kept):
                 continue
             kept.append(host)
             verdict = arrows(host, pattern, node_cap)

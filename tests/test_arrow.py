@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +102,45 @@ def test_certificate_swap_is_also_valid():
     for c in (cert, cert.swapped()):
         assert find_copy(pattern, host, c, RED) is None
         assert find_copy(pattern, host, c, BLUE) is None
+
+
+@pytest.mark.parametrize("core_n, expected", [
+    (3, ArrowResult.NOT_ARROWS),
+    (6, ArrowResult.ARROWS),
+])
+def test_sparse_host_colors_only_covered_edges(core_n, expected):
+    # 1,200 isolated edges first, then a clique: a DFS over every edge
+    # would recurse 1,200 levels deep before it reached the clique
+    isolated = [(2 * i, 2 * i + 1) for i in range(1200)]
+    core = [(2400 + a, 2400 + b) for a, b in clique(2, core_n).edges]
+    host = KUniformHypergraph.from_edges(2, 2400 + core_n, isolated + core)
+    v = arrows(host, clique(2, 3))
+    assert v.result == expected
+    if expected == ArrowResult.NOT_ARROWS:
+        assert v.certificate.colors[:1200] == (RED,) * 1200
+        assert find_copy(clique(2, 3), host, v.certificate, RED) is None
+        assert find_copy(clique(2, 3), host, v.certificate, BLUE) is None
+
+
+def test_certificate_check_survives_optimize_flag():
+    # with masks dropped the search returns a colouring that still has a
+    # monochromatic triangle; the certificate check must catch it under -O
+    code = """
+import ramseyforge.arrow as arrow
+from ramseyforge.constructions import clique
+full = arrow.copy_edge_masks
+arrow.copy_edge_masks = lambda pattern, host, cap: full(pattern, host, cap)[:1]
+arrow.arrows(clique(2, 6), clique(2, 3))
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode != 0
+    assert "AssertionError" in proc.stderr
 
 
 def test_monotonicity_spot_check():

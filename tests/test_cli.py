@@ -165,3 +165,24 @@ def test_bad_json_exit_1(tmp_path, capsys):
     assert main(["arrows", "--host", str(bad), "--pattern", str(bad)]) == 1
     missing = str(tmp_path / "missing.json")
     assert main(["arrows", "--host", missing, "--pattern", missing]) == 1
+
+
+@pytest.mark.parametrize("host_text, coloring_text", [
+    ('{"k": 2, "n": 3, "edges": 5}', None),
+    ('{"k": "2", "n": 3, "edges": [[0, 1]]}', None),
+    ('[[0, 1], [1, 2]]', None),
+    ('{"k": 2, "n": 3, "edges": [[0.0, 1]]}', None),
+    ('{"k": 2, "n": 3, "edges": [[0, 1]]}', "5"),
+], ids=["edges-int", "k-string", "top-level-array", "float-vertex", "coloring-int"])
+def test_mistyped_json_exit_1(tmp_path, capsys, host_text, coloring_text):
+    host = tmp_path / "host.json"
+    host.write_text(host_text)
+    pattern = write_hg(tmp_path / "p.json", ell_path(2, 1, 2))
+    argv = ["embed", "--pattern", pattern, "--host", str(host)]
+    if coloring_text is not None:
+        coloring = tmp_path / "c.json"
+        coloring.write_text(coloring_text)
+        argv += ["--color", "red", "--coloring", str(coloring)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

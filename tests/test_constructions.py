@@ -20,7 +20,6 @@ from ramseyforge.constructions import (
     gadget_family,
     greedy_partial_steiner,
     random_ell_tree,
-    root_edge,
     star_tree,
     verify_ell_tree,
 )
@@ -121,7 +120,7 @@ def test_binary_three_tree():
         b = binary_three_tree(t)
         assert b.n == 2 ** (t + 1) - 1
         assert b.num_edges == 2**t - 1
-        assert root_edge(t) == (0, 1, 2)
+        assert [e for e in b.edges if 0 in e] == [(0, 1, 2)]
         leaves = binary_tree_leaves(t)
         assert len(leaves) == 2**t
         assert all(b.degree(v) == 1 for v in leaves)

@@ -101,12 +101,36 @@ def test_copy_edge_masks_minimality_and_edge_cases():
     empty2 = KUniformHypergraph.from_edges(2, 2, [])
     assert copy_edge_masks(empty2, host) == [0]
     assert copy_edge_masks(clique(2, 5), host) == []
-    # supersets are pruned: P3 inside a triangle-with-pendant
+    # equal popcounts, so no mask contains another: P3 in a triangle-with-pendant
     p3 = ell_path(2, 1, 3)
     h = KUniformHypergraph.from_edges(2, 4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     masks = copy_edge_masks(p3, h)
     for a, b in itertools.combinations(masks, 2):
         assert a & b != a and a & b != b
+
+
+def small_k_graphs(k, max_n, max_m):
+    return st.integers(k, max_n).flatmap(
+        lambda n: st.lists(
+            st.sampled_from(list(itertools.combinations(range(n), k))),
+            max_size=max_m,
+            unique=True,
+        ).map(lambda es: KUniformHypergraph.from_edges(k, n, es))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(
+    lambda k: st.tuples(small_k_graphs(k, 4, 3), small_k_graphs(k, 6, 8))
+))
+def test_copy_edge_masks_match_bruteforce(pair):
+    pattern, host = pair
+    index = {es: i for i, es in enumerate(host.edge_sets())}
+    want = {
+        sum(1 << index[frozenset(img[v] for v in e)] for e in pattern.edges)
+        for img in bruteforce_copies(pattern, host)
+    }
+    assert copy_edge_masks(pattern, host) == sorted(want)
 
 
 def test_peel_to_min_degree():

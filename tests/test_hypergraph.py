@@ -74,6 +74,8 @@ def test_coloring_basics():
     h = KUniformHypergraph.from_edges(2, 3, [(0, 1), (0, 2), (1, 2)])
     c = EdgeColoring(h, (RED, BLUE, RED))
     assert c.color_of((1, 0)) == RED
+    with pytest.raises(ValueError):
+        c.color_of((0, 3))
     assert c.indices_of(BLUE) == [1]
     assert c.swapped().colors == (BLUE, RED, BLUE)
     red = c.monochromatic_subgraph(RED)
