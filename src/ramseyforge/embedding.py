@@ -59,7 +59,6 @@ def _pattern_order(pattern: KUniformHypergraph) -> list[int]:
     with the already placed ones (ties: higher degree, lower index)."""
     deg = pattern.degrees()
     placed: list[int] = []
-    placed_set: set[int] = set()
     remaining = set(range(pattern.n))
     contact = {v: 0 for v in remaining}
     incident: list[list[frozenset]] = [[] for _ in range(pattern.n)]
@@ -69,7 +68,6 @@ def _pattern_order(pattern: KUniformHypergraph) -> list[int]:
     while remaining:
         v = max(remaining, key=lambda u: (contact[u], deg[u], -u))
         placed.append(v)
-        placed_set.add(v)
         remaining.discard(v)
         for es in incident[v]:
             for w in es:

@@ -247,13 +247,13 @@ def independence_number_bruteforce(h: KUniformHypergraph) -> int:
 # -- isomorphism and automorphisms ---------------------------------------
 
 
-def _refined_colors(h: KUniformHypergraph, initial: Optional[list] = None) -> tuple:
+def _refined_colors(h: KUniformHypergraph) -> tuple:
     """Iterated degree-style refinement; returns a per-vertex invariant tuple.
 
     Each round replaces a vertex color by (color, multiset of incident
     edge color-profiles) until the partition stabilizes.
     """
-    colors = list(initial) if initial is not None else [0] * h.n
+    colors = [0] * h.n
     incident: list[list[tuple[int, ...]]] = [[] for _ in range(h.n)]
     for e in h.edges:
         for v in e:
@@ -272,83 +272,25 @@ def _refined_colors(h: KUniformHypergraph, initial: Optional[list] = None) -> tu
         colors = new_colors
 
 
-def _match(
-    h1: KUniformHypergraph,
-    h2: KUniformHypergraph,
-    fixed: dict[int, int],
-    budget: Budget,
-    count_all: bool,
-) -> tuple[int, Optional[dict[int, int]]]:
-    """Backtracking vertex matcher; returns (#complete maps, first map).
-
-    With count_all=False it stops at the first complete map.
-    """
-    c1 = _refined_colors(h1)
-    c2 = _refined_colors(h2)
-    if sorted(c1) != sorted(c2):
-        return 0, None
-    for u, v in fixed.items():
-        if c1[u] != c2[v]:
-            return 0, None
-
-    edge_index2 = h2.edge_index
-    # edges of h1 grouped by the position of their last-mapped vertex
-    order = sorted(range(h1.n), key=lambda v: (c1[v], v))
-    pos = {v: i for i, v in enumerate(order)}
-    edges_closing_at: list[list[tuple[int, ...]]] = [[] for _ in range(h1.n)]
-    for e in h1.edges:
-        edges_closing_at[max(pos[v] for v in e)].append(e)
-
-    by_color2: dict[int, list[int]] = {}
-    for v in range(h2.n):
-        by_color2.setdefault(c2[v], []).append(v)
-
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-    found: list[Optional[dict[int, int]]] = [None]
-    count = [0]
-
-    def place(i: int) -> bool:
-        budget.spend()
-        if i == h1.n:
-            count[0] += 1
-            if found[0] is None:
-                found[0] = dict(mapping)
-            return not count_all
-        u = order[i]
-        if u in fixed:
-            candidates = [fixed[u]]
-        else:
-            candidates = by_color2.get(c1[u], [])
-        for w in candidates:
-            if w in used:
-                continue
-            if c2[w] != c1[u]:
-                continue
-            mapping[u] = w
-            used.add(w)
-            ok = all(
-                frozenset(mapping[x] for x in e) in edge_index2
-                for e in edges_closing_at[i]
-            )
-            if ok and place(i + 1):
-                return True
-            del mapping[u]
-            used.discard(w)
-        return False
-
-    place(0)
-    return count[0], found[0]
-
-
 def find_isomorphism(
     h1: KUniformHypergraph, h2: KUniformHypergraph, node_cap: int = 5_000_000
 ) -> Optional[dict[int, int]]:
-    """Vertex bijection mapping edges onto edges, or None."""
+    """Vertex bijection mapping edges onto edges, or None.
+
+    Graphs whose refined colour multisets differ are rejected without a
+    search.  Otherwise the answer is the first copy of h1 in h2: with equal
+    vertex and edge counts a copy is a bijection on both, so an isomorphism.
+    node_cap bounds the candidates the copy search tries.
+    """
     if h1.k != h2.k or h1.n != h2.n or h1.num_edges != h2.num_edges:
         return None
-    _, mapping = _match(h1, h2, {}, Budget(node_cap), count_all=False)
-    return mapping
+    if sorted(_refined_colors(h1)) != sorted(_refined_colors(h2)):
+        return None
+    # imported here: embedding imports this module; most calls stop above
+    from .embedding import find_copy
+
+    copy = find_copy(h1, h2, node_cap=node_cap)
+    return None if copy is None else copy.as_dict()
 
 
 def are_isomorphic(
@@ -362,11 +304,17 @@ def automorphism_count(
     fixed: Iterable[int] = (),
     node_cap: int = 10_000_000,
 ) -> int:
-    """Order of the automorphism group (exhaustive with pruning, n <= ~20).
+    """Order of the automorphism group (exhaustive copy search, n <= ~20).
 
-    `fixed` lists vertices that must map to themselves, e.g. the root of a
-    rooted construction whose group is taken root-preservingly.
+    Every copy of h in itself is an automorphism.  `fixed` lists vertices
+    that must map to themselves, e.g. the root of a rooted construction
+    whose group is taken root-preservingly; it filters the enumerated
+    maps.  node_cap bounds the candidates the copy search tries.
     """
-    pins = {v: v for v in fixed}
-    count, _ = _match(h, h, pins, Budget(node_cap), count_all=True)
-    return count
+    from .embedding import enumerate_copies
+
+    pins = tuple(fixed)
+    return sum(
+        all(mapping[v] == v for v in pins)
+        for mapping in enumerate_copies(h, h, node_cap=node_cap)
+    )

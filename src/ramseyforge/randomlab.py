@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .constructions import enumerate_cliques
@@ -312,8 +312,6 @@ class ProcedureState:
     extensions: int
     rewinds: int
     steps: int
-    # (trashed tuple, unused snapshot at insertion) so runs can be re-checked
-    trash_log: list = field(default_factory=list)
 
 
 def grow_monochromatic_tight_path(
@@ -339,7 +337,6 @@ def grow_monochromatic_tight_path(
     unused = set(range(h.n))
     path: list[int] = []
     trash: list[tuple[int, ...]] = []
-    trash_log: list = []
     seeds = extensions = rewinds = steps = 0
     status = None
 
@@ -374,7 +371,6 @@ def grow_monochromatic_tight_path(
         # dead tail: retire it and rewind
         tup = tuple(sorted(tail))
         trash.append(tup)
-        trash_log.append((tup, tuple(sorted(unused))))
         del path[-(k - 1):]
         rewinds += 1
         if len(trash) >= m:
@@ -393,7 +389,6 @@ def grow_monochromatic_tight_path(
         extensions=extensions,
         rewinds=rewinds,
         steps=steps,
-        trash_log=trash_log,
     )
 
 

@@ -16,7 +16,7 @@ from .constructions import (
     find_ell_tree_order,
     greedy_partial_steiner,
 )
-from .errors import CapsTooSmallError
+from .errors import BudgetExceededError, CapsTooSmallError
 from .hypergraph import KUniformHypergraph, are_isomorphic
 
 ALL_STRATEGIES = ("clique-host", "steiner-host", "blowup-host", "random-host")
@@ -224,7 +224,8 @@ def size_ramsey_exact_tiny(
 
     Scans hosts by increasing edge count and returns the first count that
     admits an arrowing host; the caps ride along in the result so callers
-    cannot overclaim exactness.
+    cannot overclaim exactness.  An Unknown verdict on any host raises
+    BudgetExceededError: that host might arrow, so no count is exact.
     """
     floor = max(pattern.num_edges, 1)
     for m in range(floor, ecap + 1):
@@ -234,6 +235,11 @@ def size_ramsey_exact_tiny(
                 continue
             kept.append(host)
             verdict = arrows(host, pattern, node_cap)
+            if verdict.result == ArrowResult.UNKNOWN:
+                raise BudgetExceededError(
+                    f"arrow search budget of {node_cap} nodes exceeded on a "
+                    f"host with {m} edges"
+                )
             if verdict.result == ArrowResult.ARROWS:
                 return SizeRamseyBound(
                     pattern,

@@ -132,6 +132,14 @@ def test_size_ramsey_commands(tmp_path):
                  "--vcap", "4", "--ecap", "3"]) == 2
 
 
+def test_size_ramsey_exact_budget_exit(tmp_path, capsys):
+    star = write_hg(tmp_path / "star.json",
+                    KUniformHypergraph.from_edges(2, 4, [(0, 1), (0, 2), (0, 3)]))
+    assert main(["size-ramsey", "exact", "--pattern", star, "--vcap", "6",
+                 "--ecap", "7", "--budget", "8"]) == 2
+    assert capsys.readouterr().err.startswith("budget exhausted:")
+
+
 def test_randomlab_pipeline_deterministic(tmp_path):
     args = ["randomlab", "pipeline", "--n", "18", "--k", "3", "--p", "0.45",
             "--m", "4", "--seed", "11"]

@@ -3,6 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ramseyforge.constructions import clique
+from ramseyforge.errors import BudgetExceededError
 from ramseyforge.hypergraph import (
     BLUE,
     RED,
@@ -17,8 +19,8 @@ from ramseyforge.hypergraph import (
 )
 
 
-def small_hypergraphs(k=2, max_n=6, max_m=6):
-    return st.integers(2, max_n).flatmap(
+def small_hypergraphs(k=2, min_n=2, max_n=6, max_m=6):
+    return st.integers(min_n, max_n).flatmap(
         lambda n: st.lists(
             st.frozensets(st.integers(0, n - 1), min_size=k, max_size=k),
             max_size=max_m,
@@ -141,3 +143,46 @@ def test_automorphism_count_known():
     assert automorphism_count(c4) == 8
     # fixing a vertex of C4 leaves only the reflection through it
     assert automorphism_count(c4, fixed=(0,)) == 2
+
+
+def _isomorphisms(h1, h2):
+    """Every vertex permutation mapping the edges of h1 onto those of h2."""
+    target = set(h2.edge_sets())
+    for perm in itertools.permutations(range(h1.n)):
+        if {frozenset(perm[v] for v in e) for e in h1.edges} == target:
+            yield perm
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_automorphism_count_matches_bruteforce(k, data):
+    h = data.draw(small_hypergraphs(k=k, min_n=k))
+    autos = list(_isomorphisms(h, h))
+    assert automorphism_count(h) == len(autos)
+    assert automorphism_count(h, fixed=(0,)) == sum(a[0] == 0 for a in autos)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_isomorphism_matches_bruteforce(k, data):
+    h1 = data.draw(small_hypergraphs(k=k, min_n=k))
+    h2 = data.draw(small_hypergraphs(k=k, min_n=h1.n, max_n=h1.n))
+    expected = next(_isomorphisms(h1, h2), None) is not None
+    assert are_isomorphic(h1, h2) == expected
+    iso = find_isomorphism(h1, h2)
+    assert (iso is not None) == expected
+    if iso is not None:
+        assert sorted(iso) == sorted(iso.values()) == list(range(h1.n))
+        image = {frozenset(iso[v] for v in e) for e in h1.edges}
+        assert image == set(h2.edge_sets())
+
+
+def test_isomorphism_searches_respect_node_cap():
+    k7 = clique(2, 7)
+    with pytest.raises(BudgetExceededError):
+        automorphism_count(k7, node_cap=10)
+    with pytest.raises(BudgetExceededError):
+        find_isomorphism(k7, k7, node_cap=10)
+    assert automorphism_count(k7) == 5040

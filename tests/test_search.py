@@ -4,7 +4,7 @@ import pytest
 
 from ramseyforge.arrow import ArrowResult, arrows
 from ramseyforge.constructions import clique, ell_path
-from ramseyforge.errors import CapsTooSmallError
+from ramseyforge.errors import BudgetExceededError, CapsTooSmallError
 from ramseyforge.hypergraph import KUniformHypergraph, are_isomorphic
 from ramseyforge.search import (
     SizeRamseyBound,
@@ -89,6 +89,15 @@ def test_size_ramsey_exact_tiny_p3():
 def test_size_ramsey_exact_tiny_caps_error():
     with pytest.raises(CapsTooSmallError):
         size_ramsey_exact_tiny(clique(2, 3), vcap=4, ecap=4)
+
+
+def test_size_ramsey_exact_tiny_unknown_is_not_a_miss():
+    # r(K1,3) = 5 lies inside these caps; an 8-node arrow budget leaves some
+    # host undecided, and skipping it would report the caps as too small
+    star = KUniformHypergraph.from_edges(2, 4, [(0, 1), (0, 2), (0, 3)])
+    with pytest.raises(BudgetExceededError):
+        size_ramsey_exact_tiny(star, vcap=6, ecap=7, node_cap=8)
+    assert size_ramsey_exact_tiny(star, vcap=6, ecap=7).upper == 5
 
 
 def test_lower_bound_floor():
