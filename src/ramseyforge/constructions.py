@@ -206,11 +206,13 @@ def gadget_family(
 ) -> tuple[list[KUniformHypergraph], KUniformHypergraph]:
     """q pairwise non-isomorphic gadgets plus their disjoint union.
 
-    Samples random leaf permutations and deduplicates by exact isomorphism.
+    Samples random leaf permutations and deduplicates by exact isomorphism
+    against the members with the same invariant.
     """
     rng = random.Random(seed)
     leaves = list(range(2**t))
     members: list[KUniformHypergraph] = []
+    buckets: dict[tuple, list[KUniformHypergraph]] = {}  # members by invariant
     tries = 0
     while len(members) < q:
         tries += 1
@@ -221,8 +223,10 @@ def gadget_family(
         perm = leaves[:]
         rng.shuffle(perm)
         g = gadget(GadgetSpec(t, tuple(perm)))
-        if any(are_isomorphic(g, other) for other in members):
+        bucket = buckets.setdefault(g.invariant, [])
+        if any(are_isomorphic(g, other) for other in bucket):
             continue
+        bucket.append(g)
         members.append(g)
     return members, disjoint_union(members)
 

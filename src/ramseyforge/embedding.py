@@ -7,6 +7,7 @@ color, when a filter is given).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Collection, Iterator, Optional
@@ -58,21 +59,27 @@ def _pattern_order(pattern: KUniformHypergraph) -> list[int]:
     """Connectivity-first vertex order: each next vertex maximizes contact
     with the already placed ones (ties: higher degree, lower index)."""
     deg = pattern.degrees()
-    placed: list[int] = []
-    remaining = set(range(pattern.n))
-    contact = {v: 0 for v in remaining}
+    contact = [0] * pattern.n
+    done = [False] * pattern.n
     incident: list[list[frozenset]] = [[] for _ in range(pattern.n)]
     for es in pattern.edge_sets():
         for v in es:
             incident[v].append(es)
-    while remaining:
-        v = max(remaining, key=lambda u: (contact[u], deg[u], -u))
+    # min-heap on (-contact, -degree, vertex); entries with a stale contact
+    # are skipped when popped
+    heap = [(0, -deg[v], v) for v in range(pattern.n)]
+    placed: list[int] = []
+    while heap:
+        c, _, v = heapq.heappop(heap)
+        if done[v] or -c != contact[v]:
+            continue
+        done[v] = True
         placed.append(v)
-        remaining.discard(v)
         for es in incident[v]:
             for w in es:
-                if w in remaining:
+                if not done[w]:
                     contact[w] += 1
+                    heapq.heappush(heap, (-contact[w], -deg[w], w))
     return placed
 
 
@@ -106,28 +113,37 @@ def enumerate_copies(
             host_deg[v] += 1
     pat_deg = pattern.degrees()
 
+    if pattern.n == 0:
+        yield ()
+        return
     mapping: dict[int, int] = {}
     used: set[int] = set()
-
-    def place(i: int) -> Iterator[tuple[int, ...]]:
-        if i == pattern.n:
-            yield tuple(mapping[v] for v in range(pattern.n))
-            return
+    # depth-first search with an explicit stack: stack[i] holds the host
+    # candidates still to try for order[i]
+    stack = [iter(range(host.n))]
+    while stack:
+        i = len(stack) - 1
         u = order[i]
-        for w in range(host.n):
+        if u in mapping:  # back at depth i: release its previous candidate
+            used.discard(mapping.pop(u))
+        for w in stack[i]:
             budget.spend()
             if w in used or host_deg[w] < pat_deg[u]:
                 continue
             mapping[u] = w
-            used.add(w)
             if all(
                 frozenset(mapping[x] for x in es) in allowed for es in closing[i]
             ):
-                yield from place(i + 1)
+                break
             del mapping[u]
-            used.discard(w)
-
-    yield from place(0)
+        else:
+            stack.pop()
+            continue
+        used.add(w)
+        if i + 1 == pattern.n:
+            yield tuple(mapping[v] for v in range(pattern.n))
+        else:
+            stack.append(iter(range(host.n)))
 
 
 def find_copy(

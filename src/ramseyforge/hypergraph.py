@@ -19,6 +19,9 @@ from .errors import Budget
 RED = "R"
 BLUE = "B"
 COLORS = (RED, BLUE)
+# from_dict refuses larger vertex counts: every search here is desk-scale,
+# and one vertex list per call would otherwise be a memory hazard
+MAX_INPUT_VERTICES = 1 << 16
 
 
 def opposite(color: str) -> str:
@@ -79,6 +82,15 @@ class KUniformHypergraph:
     def edge_index(self) -> dict[frozenset, int]:
         """Edge set -> position in the edge list, built on first use."""
         return {es: i for i, es in enumerate(self.edge_sets())}
+
+    @cached_property
+    def invariant(self) -> tuple:
+        """(k, n, m, sorted stable refinement signatures), built on first use.
+
+        Isomorphic hypergraphs have equal invariants, so it keys dedupe
+        buckets; unequal invariants prove two hypergraphs non-isomorphic.
+        """
+        return (self.k, self.n, self.num_edges, tuple(sorted(_refined_colors(self))))
 
     def is_edge(self, vertices: Iterable[int]) -> bool:
         return frozenset(vertices) in self.edge_index
@@ -141,6 +153,8 @@ class KUniformHypergraph:
         k, n, edges = data["k"], data["n"], data["edges"]
         if not (_is_int(k) and _is_int(n)):
             raise ValueError("k and n must be integers")
+        if n > MAX_INPUT_VERTICES:
+            raise ValueError(f"n={n} exceeds the limit of {MAX_INPUT_VERTICES} vertices")
         if not isinstance(edges, list) or not all(
             isinstance(e, list) and all(_is_int(v) for v in e) for e in edges
         ):
@@ -248,10 +262,12 @@ def independence_number_bruteforce(h: KUniformHypergraph) -> int:
 
 
 def _refined_colors(h: KUniformHypergraph) -> tuple:
-    """Iterated degree-style refinement; returns a per-vertex invariant tuple.
+    """Iterated degree-style refinement; returns the stable per-vertex signatures.
 
-    Each round replaces a vertex color by (color, multiset of incident
-    edge color-profiles) until the partition stabilizes.
+    Each round replaces a vertex color by the rank of its signature
+    (color, sorted multiset of incident edge color-profiles) until the
+    partition stabilizes.  The signatures of that last round, as a
+    multiset, are invariant under relabelling the vertices.
     """
     colors = [0] * h.n
     incident: list[list[tuple[int, ...]]] = [[] for _ in range(h.n)]
@@ -268,7 +284,7 @@ def _refined_colors(h: KUniformHypergraph) -> tuple:
         relabel = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
         new_colors = [relabel[sig] for sig in sigs]
         if new_colors == colors:
-            return tuple(colors)
+            return tuple(sigs)
         colors = new_colors
 
 
@@ -277,14 +293,13 @@ def find_isomorphism(
 ) -> Optional[dict[int, int]]:
     """Vertex bijection mapping edges onto edges, or None.
 
-    Graphs whose refined colour multisets differ are rejected without a
-    search.  Otherwise the answer is the first copy of h1 in h2: with equal
-    vertex and edge counts a copy is a bijection on both, so an isomorphism.
-    node_cap bounds the candidates the copy search tries.
+    Hypergraphs with different cached invariants (k, n, m and refinement
+    signatures) are rejected without a search.  Otherwise the answer is
+    the first copy of h1 in h2: with equal vertex and edge counts a copy
+    is a bijection on both, so an isomorphism.  node_cap bounds the
+    candidates the copy search tries.
     """
-    if h1.k != h2.k or h1.n != h2.n or h1.num_edges != h2.num_edges:
-        return None
-    if sorted(_refined_colors(h1)) != sorted(_refined_colors(h2)):
+    if h1.invariant != h2.invariant:
         return None
     # imported here: embedding imports this module; most calls stop above
     from .embedding import find_copy

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -51,6 +53,12 @@ def ramsey_number_small(
     return None
 
 
+def _require_edges(pattern: KUniformHypergraph) -> None:
+    # an edgeless pattern is arrowed by every host with enough vertices
+    if not pattern.edges:
+        raise ValueError("size-Ramsey bounds need a pattern with at least one edge")
+
+
 def _reverify(host: KUniformHypergraph, pattern: KUniformHypergraph, node_cap: int):
     verdict = arrows(host, pattern, node_cap)
     if verdict.result != ArrowResult.ARROWS:
@@ -74,7 +82,8 @@ def size_ramsey_upper(
     unknown = [s for s in strategies if s not in ALL_STRATEGIES]
     if unknown:
         raise ValueError(f"unknown strategies: {unknown}")
-    lower = max(pattern.num_edges, 1)
+    _require_edges(pattern)
+    lower = pattern.num_edges
     best: Optional[KUniformHypergraph] = None
     methods: dict = {}
 
@@ -172,11 +181,35 @@ def _random_hosts(
     for _ in range(samples):
         n = rng.randint(pattern.n, pattern.n + k + 2)
         m = rng.randint(pattern.num_edges, max_host_edges)
-        pool = list(itertools.combinations(range(n), k))
-        if m > len(pool):
+        total = math.comb(n, k)
+        if m > total or total > sys.maxsize:  # len(range(total)) must fit
             continue
-        edges = rng.sample(pool, m)
-        yield KUniformHypergraph.from_edges(k, n, edges)
+        # the draw of rng.sample over the listed k-subsets, without listing them
+        picks = rng.sample(range(total), m)
+        yield KUniformHypergraph.from_edges(k, n, [_kth_subset(n, k, i) for i in picks])
+
+
+def _kth_subset(n: int, k: int, index: int) -> tuple[int, ...]:
+    """The index-th k-subset of range(n) in lexicographic order.
+
+    Read off the combinatorial number system: the complements n-1-v of the
+    members, largest first, satisfy sum comb(c_j, j) = comb(n, k) - 1 - index.
+    """
+    rest = math.comb(n, k) - 1 - index
+    out = []
+    top = n
+    for j in range(k, 0, -1):
+        lo, hi = j - 1, top - 1  # largest c < top with comb(c, j) <= rest
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if math.comb(mid, j) <= rest:
+                lo = mid
+            else:
+                hi = mid - 1
+        rest -= math.comb(lo, j)
+        out.append(n - 1 - lo)
+        top = lo
+    return tuple(out)
 
 
 # -- exact tiny search over non-isomorphic hosts ---------------------------
@@ -194,10 +227,10 @@ def enumerate_hosts(k: int, num_edges: int, vcap: int) -> Iterator[KUniformHyper
 
     def build(edges: list[tuple[int, ...]], used: int) -> Iterator[KUniformHypergraph]:
         if len(edges) == num_edges:
-            h = KUniformHypergraph.from_edges(k, used, edges)
-            if h.num_edges == num_edges and h.edges not in seen:
-                seen.add(h.edges)
-                yield h
+            key = tuple(sorted(edges))
+            if key not in seen:
+                seen.add(key)
+                yield KUniformHypergraph(k, used, key)
             return
         # a new edge may introduce up to k fresh vertices, consecutively
         for fresh in range(0, k + 1):
@@ -208,7 +241,6 @@ def enumerate_hosts(k: int, num_edges: int, vcap: int) -> Iterator[KUniformHyper
                 e = tuple(sorted(old_part + new_part))
                 if e in edges:
                     continue
-                # leave enough room: unused room check is implicit via vcap
                 yield from build(edges + [e], used + fresh)
 
     yield from build([], 0)
@@ -227,13 +259,18 @@ def size_ramsey_exact_tiny(
     cannot overclaim exactness.  An Unknown verdict on any host raises
     BudgetExceededError: that host might arrow, so no count is exact.
     """
-    floor = max(pattern.num_edges, 1)
-    for m in range(floor, ecap + 1):
-        kept: list[KUniformHypergraph] = []
+    _require_edges(pattern)
+    if pattern.n > vcap:
+        raise CapsTooSmallError(f"the pattern has more than vcap={vcap} vertices")
+    for m in range(pattern.num_edges, ecap + 1):
+        # hosts kept so far, bucketed by invariant: only a bucket's members
+        # can be isomorphic to a new host
+        kept: dict[tuple, list[KUniformHypergraph]] = {}
         for host in enumerate_hosts(pattern.k, m, vcap):
-            if any(are_isomorphic(host, other) for other in kept):
+            bucket = kept.setdefault(host.invariant, [])
+            if any(are_isomorphic(host, other) for other in bucket):
                 continue
-            kept.append(host)
+            bucket.append(host)
             verdict = arrows(host, pattern, node_cap)
             if verdict.result == ArrowResult.UNKNOWN:
                 raise BudgetExceededError(

@@ -1,6 +1,8 @@
+import itertools
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ramseyforge.cli import main
 from ramseyforge.constructions import clique, ell_path
@@ -194,3 +196,108 @@ def test_mistyped_json_exit_1(tmp_path, capsys, host_text, coloring_text):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_huge_vertex_count_exit_1(tmp_path, capsys):
+    host = tmp_path / "host.json"
+    host.write_text('{"k": 2, "n": 1180591620717411303424, "edges": [[0, 1]]}')
+    for argv in (["color", "majority", "--host", str(host)],
+                 ["arrows", "--host", str(host), "--pattern", str(host)]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_embed_long_path_without_recursion_limit(tmp_path, capsys):
+    # a recursive copy search nested one frame per pattern vertex
+    path = write_hg(tmp_path / "p.json", ell_path(2, 1, 1500))
+    assert main(["embed", "--pattern", path, "--host", path]) == 0
+    assert json.loads(capsys.readouterr().out) == list(range(1500))
+
+
+def test_size_ramsey_edgeless_pattern_exit_1(tmp_path, capsys):
+    edgeless = write_hg(tmp_path / "e.json", KUniformHypergraph.from_edges(2, 0, []))
+    for mode in ("upper", "exact"):
+        assert main(["size-ramsey", mode, "--pattern", edgeless]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
+# -- fuzzing every file-reading subcommand -----------------------------------
+
+_json_keys = st.sampled_from(["k", "n", "edges"]) | st.text(max_size=3)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(_json_keys, kids, max_size=4),
+    max_leaves=10,
+)
+
+
+@st.composite
+def _hypergraph_like(draw):
+    """A valid small hypergraph dict, often with one field or edge broken."""
+    k, n = draw(st.integers(2, 4)), draw(st.integers(0, 7))
+    pool = list(itertools.combinations(range(n), k))
+    edges = sorted(draw(st.sets(st.sampled_from(pool), max_size=8))) if pool else []
+    data = {"k": k, "n": n, "edges": [list(e) for e in edges]}
+    field = draw(st.sampled_from([None, None, "k", "n", "edges", "edge"]))
+    if field == "edge":
+        vertex = st.integers(-1, 8) | _json_values
+        data["edges"].append(draw(st.lists(vertex, max_size=5)))
+    elif field is not None:
+        data[field] = draw(st.integers(-1, 9) | st.integers() | _json_values)
+    return data
+
+
+_colorings = st.lists(st.sampled_from(["R", "B", "G"]), max_size=8) | _json_values
+
+
+def _file_texts(values):
+    """JSON text of drawn values, plus truncated and free-form malformed text."""
+    dumped = values.map(json.dumps)
+    return (
+        dumped
+        | st.tuples(dumped, st.integers(0, 40)).map(lambda t: t[0][: t[1]])
+        | st.text(max_size=20)
+    )
+
+
+_FUZZ_COMMANDS = [
+    ["construct", "blowup", "--host", "H", "--k", "3", "--l", "1"],
+    ["construct", "clique-hypergraph", "--host", "H", "--k", "3"],
+    ["arrows", "--host", "H", "--pattern", "P", "--budget", "500",
+     "--certificate", "OUT"],
+    ["embed", "--pattern", "P", "--host", "H", "--budget", "500"],
+    ["embed", "--pattern", "P", "--host", "H", "--color", "blue",
+     "--coloring", "C", "--budget", "500"],
+    ["color", "random", "--host", "H"],
+    ["color", "majority", "--host", "H"],
+    ["color", "degree-threshold", "--host", "H", "--n", "4"],
+    ["color", "vhigh-vlow", "--host", "H"],
+    ["ramsey", "--pattern", "P", "--cap", "5", "--budget", "500"],
+    ["size-ramsey", "upper", "--pattern", "P", "--ramsey-cap", "5",
+     "--max-host-edges", "6", "--budget", "500"],
+    ["size-ramsey", "exact", "--pattern", "P", "--vcap", "5", "--ecap", "4",
+     "--budget", "500"],
+    ["randomlab", "pipeline", "--n", "8", "--p", "0.6", "--m", "2",
+     "--coloring", "C"],
+]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    host=_file_texts(_hypergraph_like() | _json_values),
+    pattern=_file_texts(_hypergraph_like() | _json_values),
+    coloring=_file_texts(_colorings),
+)
+def test_fuzzed_input_files_exit_cleanly(tmp_path, capsys, host, pattern, coloring):
+    files = {"H": tmp_path / "host.json", "P": tmp_path / "pattern.json",
+             "C": tmp_path / "coloring.json", "OUT": tmp_path / "cert.json"}
+    files["H"].write_text(host)
+    files["P"].write_text(pattern)
+    files["C"].write_text(coloring)
+    for template in _FUZZ_COMMANDS:
+        argv = [str(files.get(a, a)) for a in template]
+        argv += ["--out", str(tmp_path / "out.json")] if template[0] != "embed" else []
+        assert main(argv) in (0, 1, 2), argv
+        assert "Traceback" not in capsys.readouterr().err

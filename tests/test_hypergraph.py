@@ -134,6 +134,18 @@ def test_isomorphism_invariant_under_relabeling(h, rnd):
     assert are_isomorphic(h, relabeled)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_invariant_unchanged_by_relabeling(k, data):
+    h = data.draw(small_hypergraphs(k=k, min_n=k))
+    perm = data.draw(st.permutations(range(h.n)))
+    relabeled = KUniformHypergraph.from_edges(
+        k, h.n, [tuple(perm[v] for v in e) for e in h.edges]
+    )
+    assert relabeled.invariant == h.invariant
+
+
 def test_automorphism_count_known():
     k3 = KUniformHypergraph.from_edges(2, 3, [(0, 1), (0, 2), (1, 2)])
     assert automorphism_count(k3) == 6

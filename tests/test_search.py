@@ -1,13 +1,18 @@
 import itertools
+import random
 
+import networkx as nx
 import pytest
 
+from ramseyforge import search
 from ramseyforge.arrow import ArrowResult, arrows
 from ramseyforge.constructions import clique, ell_path
 from ramseyforge.errors import BudgetExceededError, CapsTooSmallError
 from ramseyforge.hypergraph import KUniformHypergraph, are_isomorphic
 from ramseyforge.search import (
     SizeRamseyBound,
+    _kth_subset,
+    _random_hosts,
     enumerate_hosts,
     ramsey_number_small,
     size_ramsey_exact_tiny,
@@ -52,20 +57,94 @@ def test_bound_validation():
         SizeRamseyBound(clique(2, 3), lower=5, upper=4, witness_host=None)
 
 
+def _classes(hosts, same):
+    """Representatives of the classes of `hosts` under the relation `same`."""
+    reps = []
+    for h in hosts:
+        if not any(same(h, r) for r in reps):
+            reps.append(h)
+    return reps
+
+
 def test_enumerate_hosts_small_counts():
     # single k=2 edge: exactly one host
     hosts = list(enumerate_hosts(2, 1, 4))
     assert len(hosts) == 1 and hosts[0].edges == ((0, 1),)
-    # two graph edges: disjoint or sharing a vertex
-    hosts2 = list(enumerate_hosts(2, 2, 6))
-    classes = []
-    for h in hosts2:
-        if not any(are_isomorphic(h, c) for c in classes):
-            classes.append(h)
-    assert len(classes) == 2
-    # every host has no isolated vertex
-    for h in hosts2:
-        assert all(d > 0 for d in h.degrees())
+    # graphs with m edges and no isolated vertex: 1, 2, 5, 11 (OEIS A000664)
+    for m, count in zip((1, 2, 3, 4), (1, 2, 5, 11)):
+        hosts = list(enumerate_hosts(2, m, 2 * m))
+        assert len(_classes(hosts, are_isomorphic)) == count
+        # every host has no isolated vertex
+        for h in hosts:
+            assert all(d > 0 for d in h.degrees())
+
+
+def _incidence_graph(h):
+    g = nx.Graph()
+    g.add_nodes_from(range(h.n), side=0)
+    for i, e in enumerate(h.edges):
+        g.add_node(("e", i), side=1)
+        g.add_edges_from((("e", i), v) for v in e)
+    return g
+
+
+def _nx_isomorphic(a, b):
+    match = nx.algorithms.isomorphism.categorical_node_match("side", None)
+    return nx.is_isomorphic(_incidence_graph(a), _incidence_graph(b), node_match=match)
+
+
+@pytest.mark.parametrize("m, vcap", [(1, 3), (2, 6), (3, 9)])
+def test_enumerate_hosts_k3_classes_match_networkx(m, vcap):
+    hosts = list(enumerate_hosts(3, m, vcap))
+    theirs = _classes(hosts, _nx_isomorphic)
+    assert len(_classes(hosts, are_isomorphic)) == len(theirs)
+    # hosts networkx calls isomorphic share one invariant
+    for h in hosts:
+        rep = next(r for r in theirs if _nx_isomorphic(h, r))
+        assert h.invariant == rep.invariant
+
+
+def test_exact_dedupe_calls_at_most_one_isomorphism_test_per_host(monkeypatch):
+    counts = {"iso": 0, "hosts": 0}
+    real_iso, real_enum = search.are_isomorphic, search.enumerate_hosts
+
+    def counting_iso(h1, h2):
+        counts["iso"] += 1
+        return real_iso(h1, h2)
+
+    def counting_enum(*args):
+        for h in real_enum(*args):
+            counts["hosts"] += 1
+            yield h
+
+    monkeypatch.setattr(search, "are_isomorphic", counting_iso)
+    monkeypatch.setattr(search, "enumerate_hosts", counting_enum)
+    bound = size_ramsey_exact_tiny(ell_path(2, 1, 4), vcap=6, ecap=7)
+    assert bound.upper == 7
+    assert 0 < counts["iso"] <= counts["hosts"]
+
+
+def test_kth_subset_matches_lexicographic_order():
+    for n in range(7):
+        for k in range(1, n + 1):
+            subsets = list(itertools.combinations(range(n), k))
+            assert [_kth_subset(n, k, i) for i in range(len(subsets))] == subsets
+
+
+@pytest.mark.parametrize("pattern", [ell_path(2, 1, 4), ell_path(3, 1, 5)])
+def test_random_hosts_draw_as_from_listed_subsets(pattern):
+    # the draw without listing every k-subset equals rng.sample over the list
+    for seed in range(5):
+        rng = random.Random(seed)
+        expected = []
+        for _ in range(20):
+            n = rng.randint(pattern.n, pattern.n + pattern.k + 2)
+            m = rng.randint(pattern.num_edges, 18)
+            pool = list(itertools.combinations(range(n), pattern.k))
+            if m <= len(pool):
+                edges = rng.sample(pool, m)
+                expected.append(KUniformHypergraph.from_edges(pattern.k, n, edges))
+        assert list(_random_hosts(pattern, 18, seed)) == expected
 
 
 def test_size_ramsey_exact_tiny_single_edge():
@@ -98,6 +177,17 @@ def test_size_ramsey_exact_tiny_unknown_is_not_a_miss():
     with pytest.raises(BudgetExceededError):
         size_ramsey_exact_tiny(star, vcap=6, ecap=7, node_cap=8)
     assert size_ramsey_exact_tiny(star, vcap=6, ecap=7).upper == 5
+
+
+def test_size_ramsey_exact_tiny_pattern_wider_than_vcap(monkeypatch):
+    # no host on at most vcap vertices holds a copy: nothing to enumerate
+    def no_enumeration(*args):
+        raise AssertionError("hosts enumerated")
+
+    monkeypatch.setattr(search, "enumerate_hosts", no_enumeration)
+    wide = KUniformHypergraph.from_edges(2, 10, [(0, 1)])
+    with pytest.raises(CapsTooSmallError):
+        size_ramsey_exact_tiny(wide, vcap=9, ecap=12)
 
 
 def test_lower_bound_floor():
