@@ -1,10 +1,15 @@
 """Exact arrow decisions and the adversarial coloring constructions.
 
-arrows() decides H -> G by DFS over 2-colorings of the edges that lie in
-some copy of G, with color-swap symmetry broken on the first such edge.
-Monochromatic-copy checks run against the precomputed copy masks, so a
-partial coloring is pruned as soon as its fully colored edges already
-contain a copy.
+arrows() decides H -> G as 2-colorability of the copy hypergraph: its
+vertices are the host edges and its hyperedges the edge masks of the
+copies of G, and H -> G holds iff no 2-coloring leaves every mask
+bichromatic (Property B).  The search indexes every covered edge to the
+masks that contain it, so coloring an edge looks only at those masks: a
+mask with all edges in one color is a conflict, and a mask with no edge of
+the other color and one uncolored edge forces that edge.  It branches on
+the edges in most masks first, fixes the first one red (color-swap
+symmetry) and runs on an explicit stack.  Edges in no copy stay red, and
+every NotArrows certificate is re-checked by the copy search.
 """
 
 from __future__ import annotations
@@ -46,11 +51,80 @@ def _verify_certificate(
     host: KUniformHypergraph,
     pattern: KUniformHypergraph,
     coloring: EdgeColoring,
+    node_cap: int,
 ) -> bool:
     return (
-        find_copy(pattern, host, coloring, RED) is None
-        and find_copy(pattern, host, coloring, BLUE) is None
+        find_copy(pattern, host, coloring, RED, node_cap) is None
+        and find_copy(pattern, host, coloring, BLUE, node_cap) is None
     )
+
+
+def _propagate(
+    colored: list[int], edge: int, color: int, by_edge: dict[int, list[int]]
+) -> bool:
+    """Give edge the color (0 red, 1 blue) and every color it forces, in place.
+
+    A mask with no edge of the other color is a conflict once all of its
+    edges have this one, and forces its last uncolored edge to the other
+    color when exactly one is left.  False on a conflict.
+    """
+    colored[color] |= 1 << edge
+    queue = [(edge, color)]
+    while queue:
+        edge, color = queue.pop()
+        not_mine, other = ~colored[color], colored[1 - color]
+        for cm in by_edge[edge]:
+            if cm & other:
+                continue
+            rest = cm & not_mine
+            if not rest:
+                return False
+            if not rest & (rest - 1):
+                other |= rest
+                queue.append((rest.bit_length() - 1, 1 - color))
+        colored[1 - color] = other
+    return True
+
+
+def _two_color(masks: list[int], budget: Budget) -> Optional[int]:
+    """Blue edges of a coloring with no monochromatic mask, or None.
+
+    Depth-first search over the edges that lie in some mask, on an
+    explicit stack of pending decisions.  Edges are branched on in order
+    of how many masks contain them, most first; the first one is fixed
+    red (color-swap symmetry).  Each decision is propagated to a fixed
+    point before the next edge is chosen.  budget.spend() runs once per
+    decision node.
+    """
+    by_edge: dict[int, list[int]] = {}
+    for cm in masks:
+        rest = cm
+        while rest:
+            low = rest & -rest
+            by_edge.setdefault(low.bit_length() - 1, []).append(cm)
+            rest ^= low
+    order = sorted(by_edge, key=lambda e: (-len(by_edge[e]), e))
+    if not order:
+        return 0
+    # a pending branch: colors so far, the position in order of the edge
+    # branched on, and the color to give it
+    budget.spend()
+    stack = [(0, 0, 0, 0)]
+    while stack:
+        red, blue, pos, color = stack.pop()
+        colored = [red, blue]
+        if not _propagate(colored, order[pos], color, by_edge):
+            continue
+        red, blue = colored
+        done = red | blue
+        while pos < len(order) and done >> order[pos] & 1:
+            pos += 1
+        if pos == len(order):
+            return blue
+        budget.spend()
+        stack.append((red, blue, pos, 1))
+        stack.append((red, blue, pos, 0))
+    return None
 
 
 def arrows(
@@ -61,60 +135,39 @@ def arrows(
 ) -> ArrowVerdict:
     """Decide whether every 2-coloring of host contains a monochromatic
     copy of pattern; NotArrows comes with a verified certificate coloring.
+
+    node_cap bounds the decision nodes: Budget.spend() runs once per
+    decision node, that is each time the search picks an edge to branch
+    on, the first edge (fixed red) included; colors forced by propagation
+    cost nothing.  copy_node_cap bounds each copy search, both the one
+    that builds the masks and the two that verify a certificate.  Either
+    budget running out gives Unknown.
     """
     if host.k != pattern.k:
         raise ValueError("host and pattern must share the uniformity")
-    m = host.num_edges
     try:
         masks = copy_edge_masks(pattern, host, copy_node_cap)
     except BudgetExceededError:
         return ArrowVerdict(ArrowResult.UNKNOWN, None, 0)
-
-    if not masks:
-        # pattern does not embed at all; any coloring is a certificate
-        cert = EdgeColoring(host, tuple(RED for _ in range(m)))
-        if not _verify_certificate(host, pattern, cert):
-            raise AssertionError("certificate has a monochromatic copy")
-        return ArrowVerdict(ArrowResult.NOT_ARROWS, cert, 0)
-    if masks[0] == 0:
+    if masks and masks[0] == 0:
         # edgeless pattern embeds regardless of colors
         return ArrowVerdict(ArrowResult.ARROWS, None, 0)
 
     budget = Budget(node_cap)
-    # edges in no copy never decide anything; they stay red in a certificate
-    covered = 0
-    for cm in masks:
-        covered |= cm
-    order = [i for i in range(m) if covered >> i & 1]
-
-    def mono(colored_mask: int) -> bool:
-        return any(cm & colored_mask == cm for cm in masks)
-
-    certificate_mask: Optional[int] = None
-
-    def dfs(idx: int, red: int, blue: int) -> bool:
-        """True iff every completion of this partial coloring is mono."""
-        nonlocal certificate_mask
-        budget.spend()
-        if mono(red) or mono(blue):
-            return True
-        if idx == len(order):
-            certificate_mask = red
-            return False
-        bit = 1 << order[idx]
-        return dfs(idx + 1, red | bit, blue) and dfs(idx + 1, red, blue | bit)
-
     try:
-        # color-swap symmetry: fix the first covered edge red
-        ok = dfs(1, 1 << order[0], 0)
+        blue = _two_color(masks, budget)
     except BudgetExceededError:
         return ArrowVerdict(ArrowResult.UNKNOWN, None, budget.used)
-    if ok:
+    if blue is None:
         return ArrowVerdict(ArrowResult.ARROWS, None, budget.used)
-    blue = covered & ~certificate_mask
-    colors = tuple(BLUE if blue >> i & 1 else RED for i in range(m))
+    # edges in no copy never decide anything; they stay red
+    colors = tuple(BLUE if blue >> i & 1 else RED for i in range(host.num_edges))
     cert = EdgeColoring(host, colors)
-    if not _verify_certificate(host, pattern, cert):
+    try:
+        verified = _verify_certificate(host, pattern, cert, copy_node_cap)
+    except BudgetExceededError:
+        return ArrowVerdict(ArrowResult.UNKNOWN, None, budget.used)
+    if not verified:
         raise AssertionError("certificate has a monochromatic copy")
     return ArrowVerdict(ArrowResult.NOT_ARROWS, cert, budget.used)
 

@@ -8,6 +8,7 @@ timestamp field is the only part excluded from byte-for-byte determinism.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -409,7 +410,9 @@ def _cmd_gadget_audit(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="ramseyforge",
         description="size-Ramsey constructions, arrow decisions and experiments",

@@ -93,7 +93,9 @@ def enumerate_copies(
     """Yield every injective copy of pattern in host as a mapping tuple.
 
     Deterministic order: candidates are tried in increasing vertex index
-    along a fixed connectivity-first pattern order.
+    along a fixed connectivity-first pattern order.  A pattern vertex with
+    a placed neighbour tries only the host neighbours of that neighbour's
+    image; node_cap counts the candidates tried.
     """
     if pattern.k != host.k:
         raise ValueError("pattern and host must share the uniformity")
@@ -106,6 +108,12 @@ def enumerate_copies(
     closing: list[list[frozenset]] = [[] for _ in range(pattern.n)]
     for es in pattern.edge_sets():
         closing[max(pos[v] for v in es)].append(es)
+    # anchor[i]: the first placed pattern neighbour of order[i], if any; the
+    # image of order[i] must share a host edge with the anchor's image
+    anchor: list[Optional[int]] = []
+    for i, u in enumerate(order):
+        placed = [w for w in pattern.neighbors[u] if pos[w] < i]
+        anchor.append(min(placed, key=pos.__getitem__) if placed else None)
 
     host_deg = [0] * host.n
     for es in allowed:
@@ -118,9 +126,11 @@ def enumerate_copies(
         return
     mapping: dict[int, int] = {}
     used: set[int] = set()
+    adj = host.neighbors
+    everyone = range(host.n)
     # depth-first search with an explicit stack: stack[i] holds the host
-    # candidates still to try for order[i]
-    stack = [iter(range(host.n))]
+    # candidates still to try for order[i], in increasing index order
+    stack = [iter(everyone)]
     while stack:
         i = len(stack) - 1
         u = order[i]
@@ -143,7 +153,8 @@ def enumerate_copies(
         if i + 1 == pattern.n:
             yield tuple(mapping[v] for v in range(pattern.n))
         else:
-            stack.append(iter(range(host.n)))
+            a = anchor[i + 1]
+            stack.append(iter(everyone if a is None else adj[mapping[a]]))
 
 
 def find_copy(

@@ -84,6 +84,16 @@ class KUniformHypergraph:
         return {es: i for i, es in enumerate(self.edge_sets())}
 
     @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, the vertices sharing an edge with it, ascending;
+        built on first use."""
+        adj: list[set[int]] = [set() for _ in range(self.n)]
+        for e in self.edges:
+            for v in e:
+                adj[v].update(e)
+        return tuple(tuple(sorted(a - {v})) for v, a in enumerate(adj))
+
+    @cached_property
     def invariant(self) -> tuple:
         """(k, n, m, sorted stable refinement signatures), built on first use.
 

@@ -223,27 +223,30 @@ def enumerate_hosts(k: int, num_edges: int, vcap: int) -> Iterator[KUniformHyper
     free indices, which collapses most relabelings; exact duplicates are
     removed via the canonical edge list.
     """
-    seen: set[tuple] = set()
+    yield from _grow_hosts(k, num_edges, vcap, [], 0, set())
 
-    def build(edges: list[tuple[int, ...]], used: int) -> Iterator[KUniformHypergraph]:
-        if len(edges) == num_edges:
-            key = tuple(sorted(edges))
-            if key not in seen:
-                seen.add(key)
-                yield KUniformHypergraph(k, used, key)
-            return
-        # a new edge may introduce up to k fresh vertices, consecutively
-        for fresh in range(0, k + 1):
-            if used + fresh > vcap:
-                break
-            new_part = tuple(range(used, used + fresh))
-            for old_part in itertools.combinations(range(used), k - fresh):
-                e = tuple(sorted(old_part + new_part))
-                if e in edges:
-                    continue
-                yield from build(edges + [e], used + fresh)
 
-    yield from build([], 0)
+def _grow_hosts(
+    k: int, num_edges: int, vcap: int, edges: list[tuple[int, ...]], used: int, seen: set
+) -> Iterator[KUniformHypergraph]:
+    # module level, not a closure: a self-recursive closure is a reference
+    # cycle that keeps `seen` alive until the cyclic collector runs
+    if len(edges) == num_edges:
+        key = tuple(sorted(edges))
+        if key not in seen:
+            seen.add(key)
+            yield KUniformHypergraph(k, used, key)
+        return
+    # a new edge may introduce up to k fresh vertices, consecutively
+    for fresh in range(0, k + 1):
+        if used + fresh > vcap:
+            break
+        new_part = tuple(range(used, used + fresh))
+        for old_part in itertools.combinations(range(used), k - fresh):
+            e = tuple(sorted(old_part + new_part))
+            if e in edges:
+                continue
+            yield from _grow_hosts(k, num_edges, vcap, edges + [e], used + fresh, seen)
 
 
 def size_ramsey_exact_tiny(

@@ -3,10 +3,13 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import ramseyforge.arrow as arrow_module
 from ramseyforge.arrow import (
     ArrowResult,
     arrows,
@@ -23,13 +26,12 @@ from ramseyforge.constructions import (
     star_tree,
 )
 from ramseyforge.embedding import find_copy
-from ramseyforge.errors import InvalidBaseColoringError
+from ramseyforge.errors import BudgetExceededError, InvalidBaseColoringError
 from ramseyforge.hypergraph import BLUE, RED, EdgeColoring, KUniformHypergraph
 
 
-def oracle_arrows(host, pattern):
-    """Unpruned reference decision: enumerate copies by raw injections,
-    then walk all 2^|E| colorings."""
+def oracle_masks(host, pattern):
+    """Edge bitmasks of all copies, found by trying every raw injection."""
     allowed = set(host.edge_sets())
     index = {es: i for i, es in enumerate(host.edge_sets())}
     masks = set()
@@ -44,6 +46,13 @@ def oracle_arrows(host, pattern):
             mask |= 1 << index[es]
         if good:
             masks.add(mask)
+    return masks
+
+
+def oracle_arrows(host, pattern):
+    """Unpruned reference decision: the copy masks of oracle_masks, then
+    a walk over all 2^|E| colorings."""
+    masks = oracle_masks(host, pattern)
     if not masks:
         return False
     if 0 in masks:
@@ -93,6 +102,87 @@ def test_uniformity_mismatch():
 def test_unknown_on_tiny_budget():
     v = arrows(clique(2, 6), clique(2, 3), node_cap=3)
     assert v.result == ArrowResult.UNKNOWN
+
+
+def cycle(n):
+    return KUniformHypergraph.from_edges(2, n, [(i, (i + 1) % n) for i in range(n)])
+
+
+K4_MINUS_E = KUniformHypergraph.from_edges(2, 4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+
+
+@pytest.mark.parametrize("n, pattern", [(9, cycle(5)), (10, K4_MINUS_E)])
+def test_ramsey_hosts_decided_within_default_cap(n, pattern):
+    # R(C5) = 9 and R(K4-e) = 10; the mask-scanning search left K10 -> K4-e
+    # Unknown after 3M nodes
+    assert arrows(clique(2, n), pattern).result == ArrowResult.ARROWS
+
+
+def test_propagation_shrinks_the_k8_c5_tree():
+    # the search that scanned every mask at every node needed 23,001 nodes
+    v = arrows(clique(2, 8), cycle(5))
+    assert v.result == ArrowResult.NOT_ARROWS
+    assert v.nodes < 23_001
+
+
+def test_many_disjoint_triangles_not_arrows():
+    # 1,200 components, each its own decisions: a recursive search would
+    # nest about 2,400 levels deep, and a copy search trying every host
+    # vertex at every depth would need over 10^7 candidates for the masks
+    edges = [e for i in range(1200) for e in itertools.combinations(range(3 * i, 3 * i + 3), 2)]
+    host = KUniformHypergraph.from_edges(2, 3600, edges)
+    start = time.perf_counter()
+    v = arrows(host, clique(2, 3), copy_node_cap=100_000)
+    assert time.perf_counter() - start < 1.0
+    assert v.result == ArrowResult.NOT_ARROWS
+    assert find_copy(clique(2, 3), host, v.certificate, RED) is None
+    assert find_copy(clique(2, 3), host, v.certificate, BLUE) is None
+
+
+def test_certificate_check_runs_under_copy_node_cap(monkeypatch):
+    caps = []
+
+    def exhausted(pattern, host, coloring, color, node_cap):
+        caps.append(node_cap)
+        raise BudgetExceededError("copy search budget exceeded")
+
+    monkeypatch.setattr(arrow_module, "find_copy", exhausted)
+    v = arrows(clique(2, 5), clique(2, 3), copy_node_cap=1234)
+    assert v.result == ArrowResult.UNKNOWN
+    assert caps == [1234]
+
+
+@st.composite
+def arrow_pairs(draw, k):
+    hn = draw(st.integers(k, 6 if k == 3 else 7))
+    pool = list(itertools.combinations(range(hn), k))
+    host_edges = draw(st.lists(st.sampled_from(pool), max_size=12, unique=True))
+    pn = draw(st.integers(k, k + 2))
+    ppool = list(itertools.combinations(range(pn), k))
+    pattern_edges = draw(st.lists(st.sampled_from(ppool), max_size=4, unique=True))
+    return (
+        KUniformHypergraph.from_edges(k, hn, host_edges),
+        KUniformHypergraph.from_edges(k, pn, pattern_edges),
+    )
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_arrows_matches_exhaustive_colorings(k, data):
+    host, pattern = data.draw(arrow_pairs(k))
+    v = arrows(host, pattern)
+    assert v.result == (
+        ArrowResult.ARROWS if oracle_arrows(host, pattern) else ArrowResult.NOT_ARROWS
+    )
+    if v.result == ArrowResult.NOT_ARROWS:
+        red = sum(1 << i for i, c in enumerate(v.certificate.colors) if c == RED)
+        blue = sum(1 << i for i, c in enumerate(v.certificate.colors) if c == BLUE)
+        covered = 0
+        for cm in oracle_masks(host, pattern):
+            assert cm & red != cm and cm & blue != cm
+            covered |= cm
+        assert not blue & ~covered  # edges in no copy stay red
 
 
 def test_certificate_swap_is_also_valid():

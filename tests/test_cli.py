@@ -135,10 +135,11 @@ def test_size_ramsey_commands(tmp_path):
 
 
 def test_size_ramsey_exact_budget_exit(tmp_path, capsys):
+    # every host that arrows K1,3 within these caps needs 3 or more nodes
     star = write_hg(tmp_path / "star.json",
                     KUniformHypergraph.from_edges(2, 4, [(0, 1), (0, 2), (0, 3)]))
     assert main(["size-ramsey", "exact", "--pattern", star, "--vcap", "6",
-                 "--ecap", "7", "--budget", "8"]) == 2
+                 "--ecap", "7", "--budget", "2"]) == 2
     assert capsys.readouterr().err.startswith("budget exhausted:")
 
 

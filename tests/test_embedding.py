@@ -13,6 +13,7 @@ from ramseyforge.constructions import (
 from ramseyforge.embedding import (
     EmbedFailure,
     Embedding,
+    _pattern_order,
     copy_edge_masks,
     enumerate_copies,
     find_copy,
@@ -131,6 +132,29 @@ def test_copy_edge_masks_match_bruteforce(pair):
         for img in bruteforce_copies(pattern, host)
     }
     assert copy_edge_masks(pattern, host) == sorted(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(
+    lambda k: st.tuples(small_k_graphs(k, 5, 4), small_k_graphs(k, 7, 10))
+))
+def test_enumerate_copies_in_search_order(pair):
+    # only neighbours of an anchor's image are tried, yet every copy comes
+    # out, ordered by its images along the pattern order as when every host
+    # vertex was a candidate at every depth
+    pattern, host = pair
+    order = _pattern_order(pattern)
+    want = sorted(bruteforce_copies(pattern, host), key=lambda img: [img[v] for v in order])
+    assert list(enumerate_copies(pattern, host)) == want
+
+
+def test_sparse_host_copies_try_neighbours_only():
+    # 1,200 disjoint triangles: a candidate list of every host vertex at every
+    # depth would try 3600^2 pairs before the third vertex
+    edges = [e for i in range(1200) for e in itertools.combinations(range(3 * i, 3 * i + 3), 2)]
+    host = KUniformHypergraph.from_edges(2, 3600, edges)
+    copies = list(enumerate_copies(clique(2, 3), host, node_cap=30_000))
+    assert len(copies) == 6 * 1200
 
 
 def test_peel_to_min_degree():

@@ -105,6 +105,14 @@ def test_independence_number_known_values():
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(lambda k: small_hypergraphs(k, min_n=k)))
+def test_neighbors_match_edges(h):
+    for v in range(h.n):
+        want = sorted({w for e in h.edges if v in e for w in e} - {v})
+        assert h.neighbors[v] == tuple(want)
+
+
+@settings(max_examples=60, deadline=None)
 @given(small_hypergraphs())
 def test_independence_matches_bruteforce(h):
     assert independence_number(h) == independence_number_bruteforce(h)

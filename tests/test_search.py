@@ -171,11 +171,12 @@ def test_size_ramsey_exact_tiny_caps_error():
 
 
 def test_size_ramsey_exact_tiny_unknown_is_not_a_miss():
-    # r(K1,3) = 5 lies inside these caps; an 8-node arrow budget leaves some
-    # host undecided, and skipping it would report the caps as too small
+    # r(K1,3) = 5 lies inside these caps.  Every host here that arrows K1,3
+    # needs at least 3 decision nodes, so a 2-node budget leaves all of them
+    # undecided, and skipping them would report the caps as too small
     star = KUniformHypergraph.from_edges(2, 4, [(0, 1), (0, 2), (0, 3)])
     with pytest.raises(BudgetExceededError):
-        size_ramsey_exact_tiny(star, vcap=6, ecap=7, node_cap=8)
+        size_ramsey_exact_tiny(star, vcap=6, ecap=7, node_cap=2)
     assert size_ramsey_exact_tiny(star, vcap=6, ecap=7).upper == 5
 
 
