@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import os
+import random
 import sys
 import time
 from dataclasses import fields
@@ -25,17 +26,16 @@ from .arrow import (
     vhigh_vlow_coloring,
 )
 from .constructions import (
-    GadgetSpec,
     SteinerParams,
     binary_three_tree,
     blowup_path_host,
     clique,
     clique_hypergraph,
     ell_path,
-    gadget,
     gadget_family,
     greedy_partial_steiner,
     random_ell_tree,
+    random_gadget,
     star_tree,
 )
 from .errors import BudgetExceededError, CapsTooSmallError
@@ -153,11 +153,7 @@ def _cmd_construct(args) -> int:
     elif kind == "binary-tree":
         h = binary_three_tree(args.t)
     elif kind == "gadget":
-        import random as _random
-
-        leaves = list(range(2**args.t))
-        _random.Random(seed).shuffle(leaves)
-        h = gadget(GadgetSpec(args.t, tuple(leaves)))
+        h = random_gadget(args.t, random.Random(seed))
     elif kind == "gadget-family":
         members, union = gadget_family(args.t, args.q, seed)
         payload = {
@@ -244,9 +240,7 @@ def _majority_coloring(host: KUniformHypergraph) -> EdgeColoring:
 
 
 def _random_coloring(host: KUniformHypergraph, seed: int) -> EdgeColoring:
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     return EdgeColoring(
         host, tuple(rng.choice((RED, BLUE)) for _ in host.edges)
     )
@@ -295,6 +289,8 @@ def _cmd_size_ramsey(args) -> int:
         strategies = (
             tuple(args.strategies.split(",")) if args.strategies else ALL_STRATEGIES
         )
+        options = {"strategies": strategies, "ramsey_cap": args.ramsey_cap,
+                   "max_host_edges": args.max_host_edges}
         bound = size_ramsey_upper(
             pattern,
             strategies,
@@ -304,9 +300,11 @@ def _cmd_size_ramsey(args) -> int:
             seed=seed,
         )
     else:
+        options = {"vcap": args.vcap, "ecap": args.ecap}
         bound = size_ramsey_exact_tiny(
             pattern, vcap=args.vcap, ecap=args.ecap, node_cap=args.budget
         )
+    config = {"pattern": args.pattern, **options, "budget": args.budget}
     body = {
         "lower": bound.lower,
         "upper": bound.upper,
@@ -316,9 +314,7 @@ def _cmd_size_ramsey(args) -> int:
         "methods": bound.methods,
         "caps": bound.caps,
     }
-    report = _report(
-        f"size-ramsey {args.mode}", {"pattern": args.pattern}, seed, body
-    )
+    report = _report(f"size-ramsey {args.mode}", config, seed, body)
     _write_json(args.out, report)
     if args.mode == "upper" and bound.upper is None:
         return EXIT_BUDGET

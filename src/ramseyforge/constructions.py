@@ -48,6 +48,8 @@ def star_tree(k: int, n: int) -> KUniformHypergraph:
     Arm i contributes {v, w_1..w_{k-1}} and {w_{k-1}, w_k..w_{2k-2}} on
     fresh vertices; the center is vertex 0.
     """
+    if k < 2:
+        raise ValueError(f"need k >= 2, got k={k}")
     if (n - 1) % (2 * k - 2) != 0:
         raise ValueError(f"need (2k-2) | (n-1): n={n}, k={k}")
     arms = (n - 1) // (2 * k - 2)
@@ -184,14 +186,14 @@ class GadgetSpec:
     leaf_permutation: tuple[int, ...]
 
     def __post_init__(self):
+        if self.t < 2:
+            raise ValueError("need t >= 2 so the leaf tight path has at least one edge")
         if sorted(self.leaf_permutation) != list(range(2**self.t)):
             raise ValueError("leaf_permutation must permute the leaf index set")
 
 
 def gadget(spec: GadgetSpec) -> KUniformHypergraph:
     """Binary 3-tree plus a tight path laid along the permuted leaves."""
-    if spec.t < 2:
-        raise ValueError("need t >= 2 so the leaf tight path has at least one edge")
     tree = binary_three_tree(spec.t)
     leaves = binary_tree_leaves(spec.t)
     path_vertices = [leaves[i] for i in spec.leaf_permutation]
@@ -199,6 +201,13 @@ def gadget(spec: GadgetSpec) -> KUniformHypergraph:
         tuple(sorted(path_vertices[i : i + 3])) for i in range(len(path_vertices) - 2)
     ]
     return KUniformHypergraph.from_edges(3, tree.n, list(tree.edges) + path_edges)
+
+
+def random_gadget(t: int, rng: random.Random) -> KUniformHypergraph:
+    """The gadget on a uniformly shuffled leaf order."""
+    leaves = list(range(2**t)) if t >= 0 else []  # GadgetSpec rejects t < 2
+    rng.shuffle(leaves)
+    return gadget(GadgetSpec(t, tuple(leaves)))
 
 
 def gadget_family(
@@ -210,7 +219,6 @@ def gadget_family(
     against the members with the same invariant.
     """
     rng = random.Random(seed)
-    leaves = list(range(2**t))
     members: list[KUniformHypergraph] = []
     buckets: dict[tuple, list[KUniformHypergraph]] = {}  # members by invariant
     tries = 0
@@ -220,9 +228,7 @@ def gadget_family(
             raise ExhaustedPermutationsError(
                 f"found only {len(members)} non-isomorphic gadgets for t={t}, wanted {q}"
             )
-        perm = leaves[:]
-        rng.shuffle(perm)
-        g = gadget(GadgetSpec(t, tuple(perm)))
+        g = random_gadget(t, rng)
         bucket = buckets.setdefault(g.invariant, [])
         if any(are_isomorphic(g, other) for other in bucket):
             continue

@@ -68,6 +68,7 @@ def _pattern_order(pattern: KUniformHypergraph) -> list[int]:
     # min-heap on (-contact, -degree, vertex); entries with a stale contact
     # are skipped when popped
     heap = [(0, -deg[v], v) for v in range(pattern.n)]
+    heapq.heapify(heap)
     placed: list[int] = []
     while heap:
         c, _, v = heapq.heappop(heap)
@@ -164,10 +165,29 @@ def find_copy(
     color: Optional[str] = None,
     node_cap: int = 10_000_000,
 ) -> Optional[Embedding]:
-    """First copy found, or None; deterministic given the inputs."""
-    for mapping in enumerate_copies(pattern, host, coloring, color, node_cap):
-        return Embedding(mapping, color)
+    """First copy found, or None; deterministic given the inputs.
+
+    The copy search runs on the edge-covered core; the isolated pattern
+    vertices then take the least unused host vertices, in index order, as
+    they would at the end of enumerate_copies(pattern, ...).
+    """
+    if pattern.n > host.n:
+        return None
+    covered, core = _edge_core(pattern)
+    for core_map in enumerate_copies(core, host, coloring, color, node_cap):
+        mapping = dict(zip(covered, core_map))
+        used = set(core_map)
+        spare = (w for w in range(host.n) if w not in used)
+        full = [mapping[v] if v in mapping else next(spare) for v in range(pattern.n)]
+        return Embedding(tuple(full), color)
     return None
+
+
+def _edge_core(pattern: KUniformHypergraph) -> tuple[list[int], KUniformHypergraph]:
+    """The edge-covered pattern vertices and the pattern induced on them; the
+    isolated vertices close no edge, so any unused host vertices take them."""
+    covered = sorted({v for e in pattern.edges for v in e})
+    return covered, pattern if len(covered) == pattern.n else pattern.induced(covered)
 
 
 def copy_edge_masks(
@@ -185,12 +205,7 @@ def copy_edge_masks(
     """
     if pattern.n > host.n:
         return []
-    # isolated pattern vertices only need spare room in the host, so
-    # enumerate over the edge-covered core and check the head count
-    covered = sorted({v for e in pattern.edges for v in e})
-    core = pattern.induced(covered)
-    if host.n - core.n < pattern.n - core.n:
-        return []
+    _, core = _edge_core(pattern)
     if core.num_edges == 0:
         return [0]
     index = host.edge_index

@@ -1,10 +1,9 @@
 """Random-graph clique hosts, exact clique statistics and the
 monochromatic tight-path growing procedure with its accounting.
 
-The asymptotic constants behind the random host are kept as configuration
-because the published values push the edge probability past 1 at any
-feasible n; reports always carry both the formula value and the value
-actually used.
+The edge probability is either given directly or evaluated from the
+asymptotic formula d*(log2(n)/n)**beta; the published constants push the
+formula past 1 at any feasible n, so small runs give p directly.
 """
 
 from __future__ import annotations
@@ -31,21 +30,27 @@ def default_alpha(k: int) -> float:
     return (k - 2) * default_beta(k)
 
 
+def _tail_pairs(k: int) -> int:
+    """(k-1)(k-2), the divisor of nu and lambda; it vanishes below k = 3."""
+    if k < 3:
+        raise ValueError(f"nu and lambda need k >= 3, got k={k}")
+    return (k - 1) * (k - 2)
+
+
 def nu_constant(k: int, d: float) -> float:
-    return (1.5**k) * d ** math.comb(k, 2) / ((k - 1) * (k - 2))
+    return (1.5**k) * d ** math.comb(k, 2) / _tail_pairs(k)
 
 
 def lambda_constant(k: int, d: float) -> float:
-    return 0.5 ** (k - 1) * d ** math.comb(k, 2) / ((k - 1) * (k - 2))
+    return 0.5 ** (k - 1) * d ** math.comb(k, 2) / _tail_pairs(k)
 
 
 @dataclass(frozen=True)
 class GnpParams:
-    """G(n, p) parameters plus the tunable constants of the clique pipeline.
+    """G(n, p) parameters of the clique pipeline.
 
-    p may be given directly; otherwise it is evaluated as d*(log2(n)/n)**beta.
-    beta and alpha are recomputed from k unless overridden.  Logarithms are
-    base 2 throughout.
+    p may be given directly; otherwise it is evaluated as
+    d*(log2(n)/n)**default_beta(k).  Logarithms are base 2 throughout.
     """
 
     n: int
@@ -53,32 +58,15 @@ class GnpParams:
     seed: int = 0
     k: int = 3
     d: Optional[float] = None
-    c: Optional[float] = None
-    beta: Optional[float] = None
-    alpha: Optional[float] = None
-
-    def resolved_beta(self) -> float:
-        return self.beta if self.beta is not None else default_beta(self.k)
-
-    def resolved_alpha(self) -> float:
-        return self.alpha if self.alpha is not None else default_alpha(self.k)
-
-    def resolved_c(self) -> float:
-        return self.c if self.c is not None else 3.0 ** (-3 * self.k)
-
-    def formula_p(self) -> Optional[float]:
-        if self.d is None:
-            return None
-        return self.d * (math.log2(self.n) / self.n) ** self.resolved_beta()
 
     def resolved_p(self) -> float:
         if self.p is not None:
             if not 0.0 <= self.p <= 1.0:
                 raise ValueError(f"p must lie in [0, 1], got {self.p}")
             return self.p
-        p = self.formula_p()
-        if p is None:
+        if self.d is None:
             raise ValueError("either p or d must be given")
+        p = self.d * (math.log2(self.n) / self.n) ** default_beta(self.k)
         if not 0.0 <= p <= 1.0:
             raise ValueError(
                 f"formula p={p:.4g} is outside [0, 1] at n={self.n}; "
@@ -145,8 +133,9 @@ def clique_stats(
     if a & union_b:
         raise ValueError("A must be disjoint from the family's vertices")
 
-    t_ell = {ell: len(enumerate_cliques(g, ell)) for ell in range(1, k + 1)}
     k_cliques = [frozenset(q) for q in enumerate_cliques(g, k)]
+    t_ell = {ell: len(enumerate_cliques(g, ell)) for ell in range(1, k)}
+    t_ell[k] = len(k_cliques)
     deg_k = [0] * g.n
     for q in k_cliques:
         for v in q:
@@ -307,7 +296,6 @@ class ProcedureState:
     status: str  # TrashFull | NoSeed | PathFound
     path: tuple[int, ...]
     trash: tuple[tuple[int, ...], ...]
-    unused: tuple[int, ...]
     seeds: int
     extensions: int
     rewinds: int
@@ -328,13 +316,17 @@ def grow_monochromatic_tight_path(
     m vertices (PathFound).  Seed edges and extension vertices are chosen
     lexicographically least, so runs are reproducible.
     """
+    colored = [e for e, c in zip(h.edges, coloring.colors) if c == color]
+    return _grow_path(h.k, h.n, colored, m)
+
+
+def _grow_path(k: int, n: int, sought: list[tuple[int, ...]], m: int) -> ProcedureState:
+    """grow_monochromatic_tight_path on the sorted edges of the sought color."""
     if m < 1:
         raise ValueError("need m >= 1")
-    k = h.k
-    colored = [e for e, c in zip(h.edges, coloring.colors) if c == color]
-    colored_set = {frozenset(e) for e in colored}
+    sought_set = {frozenset(e) for e in sought}
 
-    unused = set(range(h.n))
+    unused = set(range(n))
     path: list[int] = []
     trash: list[tuple[int, ...]] = []
     seeds = extensions = rewinds = steps = 0
@@ -342,49 +334,39 @@ def grow_monochromatic_tight_path(
 
     while status is None:
         steps += 1
-        if len(trash) >= m:
-            status = TRASH_FULL
-            break
         if not path:
-            seed_edge = next((e for e in colored if unused.issuperset(e)), None)
+            seed_edge = next((e for e in sought if unused.issuperset(e)), None)
             if seed_edge is None:
                 status = NO_SEED
                 break
             path = list(seed_edge)
             unused -= set(seed_edge)
             seeds += 1
-            if len(path) >= m:
-                status = PATH_FOUND
-            continue
-        tail = path[-(k - 1):]
-        ext = next(
-            (w for w in sorted(unused) if frozenset(tail + [w]) in colored_set),
-            None,
-        )
-        if ext is not None:
+        else:
+            tail = path[-(k - 1):]
+            ext = next(
+                (w for w in sorted(unused) if frozenset(tail + [w]) in sought_set), None
+            )
+            if ext is None:  # dead tail: retire it and rewind
+                trash.append(tuple(sorted(tail)))
+                del path[-(k - 1):]
+                rewinds += 1
+                if len(trash) >= m:
+                    status = TRASH_FULL
+                elif len(path) < k:
+                    unused |= set(path)
+                    path = []
+                continue
             path.append(ext)
             unused.discard(ext)
             extensions += 1
-            if len(path) >= m:
-                status = PATH_FOUND
-            continue
-        # dead tail: retire it and rewind
-        tup = tuple(sorted(tail))
-        trash.append(tup)
-        del path[-(k - 1):]
-        rewinds += 1
-        if len(trash) >= m:
-            status = TRASH_FULL
-            break
-        if len(path) < k:
-            unused |= set(path)
-            path = []
+        if len(path) >= m:
+            status = PATH_FOUND
 
     return ProcedureState(
         status=status,
         path=tuple(path),
         trash=tuple(trash),
-        unused=tuple(sorted(unused)),
         seeds=seeds,
         extensions=extensions,
         rewinds=rewinds,
@@ -449,8 +431,7 @@ def iterated_procedure(
     current: list[tuple[tuple[int, ...], str]] = list(zip(h.edges, coloring.colors))
     rounds: list[RoundRecord] = []
     x_counts: dict[tuple[int, ...], int] = {}
-    sum_x = sum_y = 0
-    z_c = 0
+    sum_x = sum_y = z_c = 0
     c_final: tuple[int, ...] = ()
     found_path = None
     cap_exceeded = False
@@ -459,10 +440,7 @@ def iterated_procedure(
         if len(rounds) >= round_cap:
             cap_exceeded = True
             break
-        edges = tuple(e for e, _ in current)
-        sub = KUniformHypergraph(k, h.n, edges)
-        sub_coloring = EdgeColoring(sub, tuple(c for _, c in current))
-        state = grow_monochromatic_tight_path(sub, sub_coloring, color, m)
+        state = _grow_path(k, h.n, [e for e, c in current if c == color], m)
 
         if state.status == PATH_FOUND:
             found_path = state.path
@@ -471,13 +449,21 @@ def iterated_procedure(
             )
             break
 
+        # one pass: count x and y, and keep all but the sought-color edges
+        # through the trash.  The trash tuples are disjoint, so for k > 2 an
+        # edge holds at most one; for k = 2 the other vertex w is trash too.
         a_set = tuple(state.path)
         x = y = 0
-        inside = set(a_set) | {v for tup in state.trash for v in tup}
-        for e, _c in current:
+        trash = set(state.trash)
+        trash_vertices = set().union(*state.trash)
+        inside = trash_vertices.union(a_set)
+        kept = []
+        for e, c in current:
             member = next(
-                (tup for tup in state.trash if set(tup).issubset(e)), None
+                (t for t in itertools.combinations(e, k - 1) if t in trash), None
             )
+            if member is None or c != color:
+                kept.append((e, c))
             if member is None:
                 continue
             (w,) = set(e) - set(member)
@@ -491,24 +477,13 @@ def iterated_procedure(
         rounds.append(RoundRecord(state.status, state.trash, a_set, x, y, state))
 
         if state.status == NO_SEED:
-            c_final = tuple(sorted({v for tup in state.trash for v in tup}))
-            z_c = sum(1 for es in h.edge_sets() if es & set(c_final))
+            c_final = tuple(sorted(trash_vertices))
+            z_c = sum(1 for e in h.edges if not trash_vertices.isdisjoint(e))
             break
+        current = kept
 
-        # TrashFull: drop the sought-color edges through the trash
-        trash_sets = [set(tup) for tup in state.trash]
-        current = [
-            (e, c)
-            for e, c in current
-            if not (c == color and any(t.issubset(e) for t in trash_sets))
-        ]
-
-    all_families = [set(r.trash) for r in rounds]
-    disjoint = all(
-        not (all_families[i] & all_families[j])
-        for i in range(len(all_families))
-        for j in range(i + 1, len(all_families))
-    )
+    # the per-round families are pairwise disjoint iff no tuple repeats
+    trash_tuples = [t for r in rounds for t in set(r.trash)]
 
     return AccountingReport(
         sought_color=color,
@@ -527,7 +502,7 @@ def iterated_procedure(
         ),
         verdict_x_bound=sum_x <= k * t_other,
         max_edge_x_count=max(x_counts.values(), default=0),
-        trash_families_disjoint=disjoint,
+        trash_families_disjoint=len(trash_tuples) == len(set(trash_tuples)),
         round_cap=round_cap,
         round_cap_exceeded=cap_exceeded,
     )

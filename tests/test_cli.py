@@ -1,11 +1,14 @@
 import itertools
 import json
+import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ramseyforge.cli import main
+from ramseyforge.cli import CONSTRUCT_KINDS, main
 from ramseyforge.constructions import clique, ell_path
+from ramseyforge.errors import ExhaustedPermutationsError
 from ramseyforge.hypergraph import KUniformHypergraph
 
 
@@ -143,6 +146,26 @@ def test_size_ramsey_exact_budget_exit(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("budget exhausted:")
 
 
+def test_size_ramsey_config_records_mode_options(tmp_path):
+    k3 = write_hg(tmp_path / "k3.json", clique(2, 3))
+    reports = []
+    for cap in ("15", "16"):
+        rep = tmp_path / f"sr{cap}.json"
+        assert main(["size-ramsey", "upper", "--pattern", k3, "--strategies",
+                     "clique-host", "--max-host-edges", cap, "--out", str(rep)]) == 0
+        reports.append(load(rep))
+    assert reports[0]["config"] == {
+        "pattern": k3, "strategies": ["clique-host"], "ramsey_cap": 8,
+        "max_host_edges": 15, "budget": reports[0]["config"]["budget"],
+    }
+    assert reports[0]["config"] != reports[1]["config"]
+    edge = write_hg(tmp_path / "e.json", clique(2, 2))
+    rep = tmp_path / "exact.json"
+    assert main(["size-ramsey", "exact", "--pattern", edge, "--vcap", "3",
+                 "--ecap", "2", "--budget", "900", "--out", str(rep)]) == 0
+    assert load(rep)["config"] == {"pattern": edge, "vcap": 3, "ecap": 2, "budget": 900}
+
+
 def test_randomlab_pipeline_deterministic(tmp_path):
     args = ["randomlab", "pipeline", "--n", "18", "--k", "3", "--p", "0.45",
             "--m", "4", "--seed", "11"]
@@ -213,6 +236,14 @@ def test_embed_long_path_without_recursion_limit(tmp_path, capsys):
     path = write_hg(tmp_path / "p.json", ell_path(2, 1, 1500))
     assert main(["embed", "--pattern", path, "--host", path]) == 0
     assert json.loads(capsys.readouterr().out) == list(range(1500))
+
+
+def test_embed_isolated_vertices_fast(tmp_path, capsys):
+    edge = write_hg(tmp_path / "e.json", KUniformHypergraph.from_edges(2, 65_536, [(0, 1)]))
+    start = time.perf_counter()
+    assert main(["embed", "--pattern", edge, "--host", edge]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().out) == list(range(65_536))
 
 
 def test_size_ramsey_edgeless_pattern_exit_1(tmp_path, capsys):
@@ -300,5 +331,62 @@ def test_fuzzed_input_files_exit_cleanly(tmp_path, capsys, host, pattern, colori
     for template in _FUZZ_COMMANDS:
         argv = [str(files.get(a, a)) for a in template]
         argv += ["--out", str(tmp_path / "out.json")] if template[0] != "embed" else []
+        assert main(argv) in (0, 1, 2), argv
+        assert "Traceback" not in capsys.readouterr().err
+
+
+# -- fuzzing the numeric arguments ---------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["randomlab", "pipeline", "--n", "8", "--k", "2", "--d", "1", "--m", "2"],
+    ["construct", "gadget", "--t", "-1"],
+    ["construct", "gadget-family", "--t", "-1"],
+    ["construct", "star-tree", "--k", "1", "--n", "5"],
+])
+def test_bad_numbers_exit_with_one_line(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+_HOST_KINDS = ("blowup", "clique-hypergraph")  # these read a --host file
+
+
+def test_fuzzed_numeric_arguments_exit_cleanly(tmp_path, capsys):
+    host = write_hg(tmp_path / "k6.json", clique(2, 6))
+    out = str(tmp_path / "out.json")
+    rng = random.Random(6)
+    small = lambda: str(rng.randint(-1, 4))
+    for _ in range(100):
+        t, q = str(rng.randint(-1, 3)), small()
+        command = rng.choice(["construct", "color", "randomlab", "gadget-audit"])
+        if command == "construct":
+            kind = rng.choice([k for k in CONSTRUCT_KINDS if k not in _HOST_KINDS])
+            argv = ["construct", kind, "--k", small(), "--l", small(),
+                    "--n", str(rng.randint(-1, 12)), "--t", t, "--q", q]
+        elif command == "color":
+            scheme = rng.choice(["random", "majority", "degree-threshold", "vhigh-vlow"])
+            argv = ["color", scheme, "--host", host, "--n", small(), "--d", small(),
+                    "--t", t, "--q", q]
+        elif command == "randomlab":
+            argv = ["randomlab", "pipeline", "--n", str(rng.randint(-1, 12)),
+                    "--k", small(), "--m", small()]
+            if rng.random() < 0.6:
+                argv += ["--p", rng.choice(["-0.5", "0", "0.4", "1", "1.5"])]
+            if rng.random() < 0.6:
+                argv += ["--d", rng.choice(["-1", "0", "1", "2.5"])]
+        elif t == "3" and int(q) >= 3:
+            continue  # about 7 s of isomorphism tests, not a crash
+        else:
+            argv = ["gadget-audit", "--t", t, "--q", q]
+        argv += ["--seed", "1", "--out", out]
+        if t == "2" and int(q) >= 3 and ("gadget-family" in argv or "vhigh-vlow" in argv
+                                          or command == "gadget-audit"):
+            # t = 2 has fewer than 3 non-isomorphic gadgets; sampling still
+            # raises out of main (ROADMAP item 7)
+            with pytest.raises(ExhaustedPermutationsError):
+                main(argv)
+            continue
         assert main(argv) in (0, 1, 2), argv
         assert "Traceback" not in capsys.readouterr().err

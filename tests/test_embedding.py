@@ -148,6 +148,58 @@ def test_enumerate_copies_in_search_order(pair):
     assert list(enumerate_copies(pattern, host)) == want
 
 
+def reference_pattern_order(pattern):
+    """The documented rule, one max() per step: most contact with the placed
+    vertices, then higher degree, then lower index."""
+    deg = pattern.degrees()
+    placed, remaining = [], set(range(pattern.n))
+    contact = lambda u: sum(1 for e in pattern.edges if u in e for w in e if w in placed)
+    while remaining:
+        v = max(remaining, key=lambda u: (contact(u), deg[u], -u))
+        placed.append(v)
+        remaining.remove(v)
+    return placed
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(lambda k: small_k_graphs(k, 8, 8)))
+def test_pattern_order_follows_the_documented_rule(pattern):
+    assert _pattern_order(pattern) == reference_pattern_order(pattern)
+
+
+@st.composite
+def _patterns_with_isolated_vertices(draw):
+    k = draw(st.sampled_from((2, 3)))
+    core = draw(small_k_graphs(k, 4, 3))
+    isolated = draw(st.integers(1, 3))
+    # spread the isolated vertices among the core's by a random relabelling
+    perm = draw(st.permutations(range(core.n + isolated)))
+    pattern = KUniformHypergraph.from_edges(
+        k, core.n + isolated, [[perm[v] for v in e] for e in core.edges]
+    )
+    host = draw(small_k_graphs(k, 8, 10))
+    colors = draw(st.lists(st.sampled_from((RED, BLUE)),
+                           min_size=host.num_edges, max_size=host.num_edges))
+    return pattern, host, EdgeColoring(host, tuple(colors))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_patterns_with_isolated_vertices())
+def test_find_copy_places_isolated_vertices_last(case):
+    pattern, host, coloring = case
+    for color in (None, RED):
+        first = next(enumerate_copies(pattern, host, coloring, color), None)
+        emb = find_copy(pattern, host, coloring, color)
+        assert (emb and emb.mapping) == first
+
+
+def test_find_copy_isolated_vertices_need_no_search():
+    # each isolated vertex tried every host vertex from 0: quadratic candidates
+    edge = KUniformHypergraph.from_edges(2, 65_536, [(0, 1)])
+    emb = find_copy(edge, edge, node_cap=100)
+    assert emb.mapping == tuple(range(65_536))
+
+
 def test_sparse_host_copies_try_neighbours_only():
     # 1,200 disjoint triangles: a candidate list of every host vertex at every
     # depth would try 3600^2 pairs before the third vertex

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -50,10 +51,9 @@ def naive_clique_stats(g, k, a_set=(), b_family=(), c_set=()):
 
 def test_gnp_params_resolution():
     p = GnpParams(n=32, d=1.0, k=3)
-    assert math.isclose(p.resolved_beta(), 1.0 / 2)
-    assert math.isclose(p.resolved_alpha(), 1.0 / 2)
+    assert math.isclose(default_beta(3), 1.0 / 2)
+    assert math.isclose(default_alpha(3), 1.0 / 2)
     assert math.isclose(p.resolved_p(), (5 / 32) ** 0.5)
-    assert math.isclose(p.resolved_c(), 3.0**-9)
     # explicit p wins
     assert GnpParams(n=32, p=0.25, d=9.0).resolved_p() == 0.25
     with pytest.raises(ValueError):
@@ -219,3 +219,135 @@ def test_iterated_procedure_round_cap():
     host, coloring = make_host_and_coloring(22, 0.5, 1, 2)
     acc = iterated_procedure(host, coloring, BLUE, 4, round_cap=0)
     assert acc.round_cap_exceeded and acc.rounds == []
+
+
+def naive_grow(h, coloring, color, m):
+    """Reference path growing: (status, path, trash, seeds, extensions,
+    rewinds, steps), one step per seed, extension or rewind."""
+    k = h.k
+    colored = [e for e, c in zip(h.edges, coloring.colors) if c == color]
+    unused, path, trash = set(range(h.n)), [], []
+    seeds = extensions = rewinds = steps = 0
+    while True:
+        steps += 1
+        if not path:
+            seed = next((e for e in colored if unused.issuperset(e)), None)
+            if seed is None:
+                return NO_SEED, tuple(path), tuple(trash), seeds, extensions, rewinds, steps
+            path, seeds = list(seed), seeds + 1
+            unused -= set(seed)
+        else:
+            tail = path[-(k - 1):]
+            ext = [w for w in sorted(unused) if tuple(sorted(tail + [w])) in colored]
+            if not ext:
+                trash.append(tuple(sorted(tail)))
+                del path[-(k - 1):]
+                rewinds += 1
+                if len(trash) >= m:
+                    return TRASH_FULL, tuple(path), tuple(trash), seeds, extensions, rewinds, steps
+                if len(path) < k:
+                    unused |= set(path)
+                    path = []
+                continue
+            path.append(ext[0])
+            unused.discard(ext[0])
+            extensions += 1
+        if len(path) >= m:
+            return PATH_FOUND, tuple(path), tuple(trash), seeds, extensions, rewinds, steps
+
+
+def naive_iterated_procedure(h, coloring, color, m):
+    """Per-round reference for the accounting: every round rebuilds the host
+    and its coloring and scans the trash tuples for the one inside an edge."""
+    k = h.k
+    t_sought = sum(1 for c in coloring.colors if c == color)
+    current = list(zip(h.edges, coloring.colors))
+    rounds, x_counts = [], {}
+    found_path, c_set, z_c, cap_exceeded = None, (), 0, False
+    while True:
+        if len(rounds) >= 4 * k * m:
+            cap_exceeded = True
+            break
+        sub = KUniformHypergraph(k, h.n, tuple(e for e, _ in current))
+        state = naive_grow(sub, EdgeColoring(sub, tuple(c for _, c in current)), color, m)
+        status, path, trash = state[:3]
+        if status == PATH_FOUND:
+            found_path = path
+            rounds.append((status, trash, path, 0, 0, state))
+            break
+        inside = set(path) | {v for t in trash for v in t}
+        x = y = 0
+        for e, _ in current:
+            member = next((t for t in trash if set(t) <= set(e)), None)
+            if member is None:
+                continue
+            (w,) = set(e) - set(member)
+            if w in inside:
+                y += 1
+            else:
+                x += 1
+                x_counts[e] = x_counts.get(e, 0) + 1
+        rounds.append((status, trash, path, x, y, state))
+        if status == NO_SEED:
+            c_set = tuple(sorted({v for t in trash for v in t}))
+            z_c = sum(1 for e in h.edges if set(e) & set(c_set))
+            break
+        current = [
+            (e, c)
+            for e, c in current
+            if not (c == color and any(set(t) <= set(e) for t in trash))
+        ]
+    sum_x = sum(r[3] for r in rounds)
+    sum_y = sum(r[4] for r in rounds)
+    families = [set(r[1]) for r in rounds]
+    return rounds, {
+        "sought_color": color,
+        "t_sought": t_sought,
+        "t_other": h.num_edges - t_sought,
+        "t_k": h.num_edges,
+        "sum_x": sum_x,
+        "sum_y": sum_y,
+        "z_c": z_c,
+        "c_set": c_set,
+        "found_path": found_path,
+        "verdict_sought_bound": (
+            None if found_path is not None or cap_exceeded
+            else t_sought <= sum_y + z_c
+        ),
+        "verdict_x_bound": sum_x <= k * (h.num_edges - t_sought),
+        "max_edge_x_count": max(x_counts.values(), default=0),
+        "trash_families_disjoint": all(
+            not (a & b) for i, a in enumerate(families) for b in families[i + 1:]
+        ),
+        "round_cap": 4 * k * m,
+        "round_cap_exceeded": cap_exceeded,
+    }
+
+
+def _state_fields(s):
+    return s.status, s.path, s.trash, s.seeds, s.extensions, s.rewinds, s.steps
+
+
+@pytest.mark.parametrize("k, n, p", [(2, 24, 0.12), (3, 40, 0.2), (4, 40, 0.35)])
+def test_iterated_procedure_matches_per_round_reference(k, n, p):
+    multi_round = 0
+    for seed in range(8):
+        host = clique_hypergraph(gnp(GnpParams(n=n, p=p, seed=seed)), k)
+        rng = random.Random(100 + seed)
+        coloring = EdgeColoring(
+            host, tuple(rng.choice((RED, BLUE)) for _ in host.edges)
+        )
+        for m in (k + 1, k + 3, 2 * k + 2):
+            acc = iterated_procedure(host, coloring, BLUE, m)
+            rounds, expected = naive_iterated_procedure(host, coloring, BLUE, m)
+            assert [
+                (r.status, r.trash, r.a_set, r.x, r.y, _state_fields(r.state))
+                for r in acc.rounds
+            ] == rounds
+            assert {
+                f.name: getattr(acc, f.name)
+                for f in fields(acc)
+                if f.name != "rounds"
+            } == expected
+            multi_round += len(rounds) > 1
+    assert multi_round >= 3  # the edge stripping between rounds is exercised
