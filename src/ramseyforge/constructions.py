@@ -324,32 +324,25 @@ def greedy_partial_steiner(params: SteinerParams) -> SteinerResult:
 
 def clique_hypergraph(g: KUniformHypergraph, k: int) -> KUniformHypergraph:
     """k-graph on V(g) whose edges are exactly the k-cliques of the graph g."""
-    if g.k != 2:
-        raise ValueError("clique hypergraph input must be a graph (k=2)")
-    if k < 2:
-        raise ValueError("need k >= 2")
-    return KUniformHypergraph.from_edges(k, g.n, enumerate_cliques(g, k))
+    return KUniformHypergraph(k, g.n, tuple(enumerate_cliques(g, k)))
 
 
 def enumerate_cliques(g: KUniformHypergraph, size: int) -> list[tuple[int, ...]]:
-    """All cliques of the given order in a graph, by ordered extension."""
+    """All cliques of the given order in a graph, in lexicographic order, by
+    ordered extension (Chiba and Nishizeki 1985)."""
     if g.k != 2:
         raise ValueError("clique enumeration needs a graph (k=2)")
-    adj: list[set[int]] = [set() for _ in range(g.n)]
+    if size < 1:
+        return []
+    later: list[set[int]] = [set() for _ in range(g.n)]  # higher neighbours
     for v, w in g.edges:
-        adj[v].add(w)
-        adj[w].add(v)
-    if size == 1:
-        return [(v,) for v in range(g.n)]
+        later[v].add(w)
     out: list[tuple[int, ...]] = []
-
-    def extend(cliq: list[int], common: set[int]) -> None:
-        if len(cliq) == size:
-            out.append(tuple(cliq))
-            return
-        for v in sorted(common):
-            extend(cliq + [v], {w for w in common if w > v and w in adj[v]})
-
-    for v in range(g.n):
-        extend([v], {w for w in adj[v] if w > v})
+    stack = [((), set(range(g.n)))]  # (clique, its common higher neighbours)
+    while stack:
+        cliq, common = stack.pop()
+        if len(cliq) == size - 1:
+            out.extend(cliq + (w,) for w in sorted(common))
+        else:  # least vertex on top, so cliques come out in lexicographic order
+            stack.extend((cliq + (w,), common & later[w]) for w in sorted(common, reverse=True))
     return out

@@ -66,6 +66,8 @@ class GnpParams:
             return self.p
         if self.d is None:
             raise ValueError("either p or d must be given")
+        if self.n < 1:
+            raise ValueError(f"formula p needs n >= 1, got n={self.n}")
         p = self.d * (math.log2(self.n) / self.n) ** default_beta(self.k)
         if not 0.0 <= p <= 1.0:
             raise ValueError(
@@ -133,7 +135,7 @@ def clique_stats(
     if a & union_b:
         raise ValueError("A must be disjoint from the family's vertices")
 
-    k_cliques = [frozenset(q) for q in enumerate_cliques(g, k)]
+    k_cliques = enumerate_cliques(g, k)
     t_ell = {ell: len(enumerate_cliques(g, ell)) for ell in range(1, k)}
     t_ell[k] = len(k_cliques)
     deg_k = [0] * g.n
@@ -144,11 +146,11 @@ def clique_stats(
     inside = a | union_b
     x = y = z = 0
     for q in k_cliques:
-        if q & c:
+        if not c.isdisjoint(q):
             z += 1
-        member = next((b for b in family if b <= q), None)
+        member = next((b for b in family if b.issubset(q)), None)
         if member is not None:
-            (w,) = q - member
+            (w,) = set(q) - member
             if w in inside:
                 y += 1
             else:
@@ -422,6 +424,8 @@ def iterated_procedure(
     of order m exists) or when the round cap is exceeded, which is flagged
     as an anomaly rather than raised.
     """
+    if m < 1:  # else a zero round cap reports an anomaly before any round
+        raise ValueError("need m >= 1")
     k = h.k
     if round_cap is None:
         round_cap = 4 * k * m

@@ -343,6 +343,8 @@ def test_fuzzed_input_files_exit_cleanly(tmp_path, capsys, host, pattern, colori
     ["construct", "gadget", "--t", "-1"],
     ["construct", "gadget-family", "--t", "-1"],
     ["construct", "star-tree", "--k", "1", "--n", "5"],
+    ["randomlab", "pipeline", "--n", "8", "--p", "0.5", "--m", "0"],
+    ["randomlab", "pipeline", "--n", "0", "--d", "1", "--m", "2"],
 ])
 def test_bad_numbers_exit_with_one_line(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "out.json")]) == 1

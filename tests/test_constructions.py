@@ -201,6 +201,8 @@ def test_clique_hypergraph_and_enumeration():
     c5 = KUniformHypergraph.from_edges(2, 5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     assert clique_hypergraph(c5, 3).num_edges == 0
     assert len(enumerate_cliques(g, 4)) == math.comb(5, 4)
+    with pytest.raises(ValueError):  # the input must be a graph
+        clique_hypergraph(clique(3, 5), 3)
 
 
 def test_enumerate_cliques_matches_bruteforce():
@@ -214,3 +216,30 @@ def test_enumerate_cliques_matches_bruteforce():
             if all(g.is_edge(p) for p in itertools.combinations(c, 2))
         ]
         assert sorted(enumerate_cliques(g, size)) == sorted(naive)
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(0, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return KUniformHypergraph(2, n, tuple(p for p, b in zip(pairs, keep) if b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=_graphs())
+def test_enumerate_cliques_is_the_ordered_bruteforce_list(g):
+    # clique_hypergraph hands this list to the constructor without sorting,
+    # so the order must be exactly lexicographic
+    def naive(size):
+        return [
+            q
+            for q in itertools.combinations(range(g.n), size)
+            if all(g.is_edge(p) for p in itertools.combinations(q, 2))
+        ]
+
+    assert enumerate_cliques(g, 0) == []
+    for size in range(1, 6):
+        assert enumerate_cliques(g, size) == naive(size)
+    for k in range(2, 6):
+        assert clique_hypergraph(g, k) == KUniformHypergraph.from_edges(k, g.n, naive(k))

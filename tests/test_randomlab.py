@@ -25,16 +25,21 @@ from ramseyforge.randomlab import (
 
 
 def naive_clique_stats(g, k, a_set=(), b_family=(), c_set=()):
-    """All-k-subsets reference for the clique statistics."""
+    """All-subsets reference for the clique statistics: (t_ell, deg_k, t_k,
+    x, y, z)."""
     a = set(a_set)
     c = set(c_set)
     family = [frozenset(b) for b in b_family]
     inside = a | {v for b in family for v in b}
-    cliques = [
-        set(q)
-        for q in itertools.combinations(range(g.n), k)
-        if all(g.is_edge(p) for p in itertools.combinations(q, 2))
-    ]
+    t_ell = {}
+    for ell in range(1, k + 1):
+        cliques = [
+            set(q)
+            for q in itertools.combinations(range(g.n), ell)
+            if all(g.is_edge(p) for p in itertools.combinations(q, 2))
+        ]
+        t_ell[ell] = len(cliques)
+    deg_k = [sum(1 for q in cliques if v in q) for v in range(g.n)]
     x = y = z = 0
     for q in cliques:
         if q & c:
@@ -46,7 +51,7 @@ def naive_clique_stats(g, k, a_set=(), b_family=(), c_set=()):
                 y += 1
             else:
                 x += 1
-    return len(cliques), x, y, z
+    return t_ell, deg_k, len(cliques), x, y, z
 
 
 def test_gnp_params_resolution():
@@ -93,34 +98,37 @@ def test_clique_stats_no_cliques():
 
 def test_clique_stats_matches_naive_oracle():
     rng = random.Random(7)
-    for trial in range(8):
-        n = rng.randint(8, 15)
-        g = gnp(GnpParams(n=n, p=0.45, seed=trial))
-        pairs = [
-            frozenset(e) for e in g.edges
-        ]  # edges are the 2-cliques for k=3
-        family = []
-        used = set()
-        rng.shuffle(pairs)
-        for b in pairs:
-            if len(family) == 2:
-                break
-            if not b & used:
-                family.append(b)
-                used |= b
-        outside = [v for v in range(n) if v not in used]
-        a_set = rng.sample(outside, min(2, len(outside)))
-        c_set = rng.sample(range(n), 3)
-        st = clique_stats(g, 3, a_set, family, c_set)
-        t_k, x, y, z = naive_clique_stats(g, 3, a_set, family, c_set)
-        assert st.t_k == t_k and st.x_ab == x and st.y_ab == y and st.z_c == z
-        assert st.x_ab + st.y_ab == sum(
-            1
-            for q in itertools.combinations(range(n), 3)
-            if all(g.is_edge(p) for p in itertools.combinations(q, 2))
-            and any(b <= set(q) for b in family)
-        )
-        assert st.z_c <= st.t_k
+    for k in (2, 3, 4):
+        for trial in range(8):
+            n = rng.randint(8, 15)
+            g = gnp(GnpParams(n=n, p=0.45, seed=trial))
+            if k == 2:
+                # two adjacent members: the only way one clique holds two
+                family = [frozenset(g.edges[0][:1]), frozenset(g.edges[0][1:])]
+            else:
+                pool = [frozenset(q) for q in itertools.combinations(range(n), k - 1)
+                        if all(g.is_edge(p) for p in itertools.combinations(q, 2))]
+                rng.shuffle(pool)
+                family = []
+                for b in pool:
+                    if len(family) < 2 and not any(b & f for f in family):
+                        family.append(b)
+            assert family
+            used = set().union(*family)
+            outside = [v for v in range(n) if v not in used]
+            a_set = rng.sample(outside, min(2, len(outside)))
+            c_set = rng.sample(range(n), 3)
+            st = clique_stats(g, k, a_set, family, c_set)
+            t_ell, deg_k, t_k, x, y, z = naive_clique_stats(g, k, a_set, family, c_set)
+            assert st.t_ell == t_ell and st.deg_k == deg_k and st.t_k == t_k
+            assert (st.x_ab, st.y_ab, st.z_c) == (x, y, z)
+            assert st.x_ab + st.y_ab == sum(
+                1
+                for q in itertools.combinations(range(n), k)
+                if all(g.is_edge(p) for p in itertools.combinations(q, 2))
+                and any(b <= set(q) for b in family)
+            )
+            assert st.z_c <= st.t_k
 
 
 def test_clique_stats_validation():

@@ -1,8 +1,11 @@
 import ast
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
+
+from ramseyforge.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(
@@ -26,13 +29,39 @@ def test_no_unused_module_level_imports(path):
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
-def test_bench_trace_sites_resolve():
-    # the benchmark's --trace mode rebinds these names; a moved or renamed
-    # function must fail here, not only in a traced bench run
+def _bench_tracing():
     spec = importlib.util.spec_from_file_location(
         "bench_tracing", ROOT / "perfbench" / "tracing.py"
     )
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_bench_trace_sites_resolve():
+    # the benchmark's --trace mode rebinds these names; a moved or renamed
+    # function must fail here, not only in a traced bench run
+    tracing = _bench_tracing()
     for site in tracing.SITES:
         tracing.resolve(site)
+
+
+def test_bench_trace_layers_record_spans(tmp_path):
+    # a site that resolves but is no longer called would silently drop its
+    # layer from a traced run; run a small pipeline and look for each span
+    tracer = _bench_tracing().Tracer()
+    out = tmp_path / "report.json"
+    tracer.install()
+    try:
+        argv = ["randomlab", "pipeline", "--n", "16", "--p", "0.6", "--m", "4",
+                "--seed", "1", "--out", str(out)]
+        assert main(argv) == 0
+    finally:
+        tracer.uninstall()
+    for layer in ("randomlab.gnp", "constructions.clique_hypergraph",
+                  "constructions.enumerate_cliques", "randomlab.clique_stats",
+                  "randomlab.iterated_procedure"):
+        assert layer in tracer.names, layer
+    t_k = json.loads(out.read_text())["clique_stats"]["t_k"]
+    assert t_k > 0
+    assert tracer.counts[("constructions.clique_hypergraph", "edges")] == t_k
