@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .constructions import clique
 from .errors import Budget, BudgetExceededError, InvalidBaseColoringError
 from .hypergraph import (
     BLUE,
@@ -207,9 +208,9 @@ def contract_pair(h: KUniformHypergraph, u: int, v: int) -> ContractResult:
         raise ValueError("pair contraction is defined for 3-graphs")
     if u == v or not (0 <= u < h.n and 0 <= v < h.n):
         raise ValueError("u and v must be distinct vertices of h")
-    kept = {es for es in h.edge_sets() if v not in es}
+    kept = {es for es in h.edge_sets if v not in es}
     rerouted = set()
-    for es in h.edge_sets():
+    for es in h.edge_sets:
         if v in es and u not in es:
             candidate = frozenset((es - {v}) | {u})
             if candidate not in kept:
@@ -251,7 +252,7 @@ def _link_color(
     """Common color of the edges inside members, RED when edgeless, None
     when the induced link is bichromatic."""
     seen = None
-    for es, c in zip(hu.edge_sets(), base.colors):
+    for es, c in zip(hu.edge_sets, base.colors):
         if es <= members:
             if seen is None:
                 seen = c
@@ -278,14 +279,12 @@ def clique_lift_coloring(
     a mono-free base).  Warns, without refusing, when deg(u,v) is too
     large for the mono-freeness guarantee to apply.
     """
-    from .constructions import clique as _clique
-
     contracted = contract_pair(h, u, v)
     hu, vmap = contracted.hypergraph, contracted.vertex_map
     if base.host != hu:
         raise ValueError("base coloring host differs from contract_pair(h, u, v)")
 
-    pattern = _clique(3, n)
+    pattern = clique(3, n)
     for color in (RED, BLUE):
         if find_copy(pattern, hu, base, color) is not None:
             raise InvalidBaseColoringError(
@@ -326,7 +325,8 @@ def clique_lift_coloring(
         subset, c = found
         blocks.append(subset)
         block_colors.append(c)
-        remaining = [x for x in remaining if x not in set(subset)]
+        taken = set(subset)
+        remaining = [x for x in remaining if x not in taken]
 
     block_of = {}
     for i, blk in enumerate(blocks):
@@ -334,7 +334,7 @@ def clique_lift_coloring(
             block_of[x] = i
 
     colors = []
-    for es in h.edge_sets():
+    for es in h.edge_sets:
         if v not in es:
             mapped = frozenset(vmap[x] for x in es)
             colors.append(base.color_of(mapped))
@@ -405,15 +405,13 @@ def vhigh_vlow_coloring(
             seen.add(image)
             roots.add(frozenset(to_orig[mapping[x]] for x in g_root))
         counts.append(len(seen))
-        roots_per_gadget.append(
-            {frozenset(x for x in r) for r in roots}
-        )
+        roots_per_gadget.append(roots)
     selected = min(range(len(gadgets)), key=lambda i: (counts[i], i))
     f_edges = roots_per_gadget[selected]
 
     high = set(v_high)
     colors = tuple(
-        BLUE if (es & high or es in f_edges) else RED for es in h.edge_sets()
+        BLUE if (es & high or es in f_edges) else RED for es in h.edge_sets
     )
     report = VhighVlowReport(
         v_high=v_high,

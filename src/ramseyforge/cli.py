@@ -211,6 +211,8 @@ def _cmd_embed(args) -> int:
     host = _load_hypergraph(args.host)
     coloring = None
     color = None
+    if args.coloring is not None and args.color is None:
+        raise ValueError("--coloring requires --color")
     if args.color is not None:
         color = _parse_color(args.color)
         if args.coloring is None:

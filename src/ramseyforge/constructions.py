@@ -115,7 +115,7 @@ def find_ell_tree_order(
     if m == 0:
         return []
     budget = Budget(node_cap)
-    edge_sets = h.edge_sets()
+    edge_sets = h.edge_sets
     failed: set[frozenset] = set()
 
     def extendable(chosen: list[int], covered: set[int], j: int) -> bool:
@@ -131,7 +131,7 @@ def find_ell_tree_order(
         key = frozenset(chosen)
         if key in failed:
             return None
-        rest = [j for j in range(m) if j not in set(chosen)]
+        rest = [j for j in range(m) if j not in key]
         candidates = [j for j in rest if extendable(chosen, covered, j)]
         # prefer high-overlap extensions: they constrain the future least
         candidates.sort(key=lambda j: (-len(edge_sets[j] & covered), j))

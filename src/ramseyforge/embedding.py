@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Collection, Iterator, Optional
 
+from .constructions import find_ell_tree_order
 from .errors import Budget
 from .hypergraph import EdgeColoring, KUniformHypergraph
 
@@ -51,7 +52,7 @@ def _allowed_edges(
     if coloring is None:
         raise ValueError("a color filter requires a coloring")
     return {
-        es for es, c in zip(host.edge_sets(), coloring.colors) if c == color
+        es for es, c in zip(host.edge_sets, coloring.colors) if c == color
     }
 
 
@@ -62,7 +63,7 @@ def _pattern_order(pattern: KUniformHypergraph) -> list[int]:
     contact = [0] * pattern.n
     done = [False] * pattern.n
     incident: list[list[frozenset]] = [[] for _ in range(pattern.n)]
-    for es in pattern.edge_sets():
+    for es in pattern.edge_sets:
         for v in es:
             incident[v].append(es)
     # min-heap on (-contact, -degree, vertex); entries with a stale contact
@@ -107,7 +108,7 @@ def enumerate_copies(
     order = _pattern_order(pattern)
     pos = {v: i for i, v in enumerate(order)}
     closing: list[list[frozenset]] = [[] for _ in range(pattern.n)]
-    for es in pattern.edge_sets():
+    for es in pattern.edge_sets:
         closing[max(pos[v] for v in es)].append(es)
     # anchor[i]: the first placed pattern neighbour of order[i], if any; the
     # image of order[i] must share a host edge with the anchor's image
@@ -212,7 +213,7 @@ def copy_edge_masks(
     masks: set[int] = set()
     for mapping in enumerate_copies(core, host, node_cap=node_cap):
         mask = 0
-        for es in core.edge_sets():
+        for es in core.edge_sets:
             mask |= 1 << index[frozenset(mapping[v] for v in es)]
         masks.add(mask)
     return sorted(masks)
@@ -280,8 +281,6 @@ def greedy_tree_embed(
     if tree.k != host.k:
         raise ValueError("tree and host must share the uniformity")
     if edge_order is None:
-        from .constructions import find_ell_tree_order
-
         edge_order = find_ell_tree_order(tree, ell)
         if edge_order is None:
             raise ValueError(f"input is not an ell-tree for ell={ell}")

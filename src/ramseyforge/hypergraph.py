@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
@@ -52,16 +53,14 @@ class KUniformHypergraph:
             raise ValueError("vertex count must be non-negative")
         prev = None
         for e in self.edges:
-            if len(e) != self.k or len(set(e)) != self.k:
-                raise ValueError(f"edge {e} is not a {self.k}-set")
-            if tuple(sorted(e)) != e:
-                raise ValueError(f"edge {e} is not sorted")
+            increasing = isinstance(e, tuple) and all(map(operator.lt, e, e[1:]))
+            if len(e) != self.k or not increasing:
+                raise ValueError(f"edge {e} is not a strictly increasing {self.k}-tuple")
             if e[0] < 0 or e[-1] >= self.n:
                 raise ValueError(f"edge {e} out of range for n={self.n}")
             if prev is not None and e <= prev:
                 raise ValueError("edge list is not strictly increasing")
             prev = e
-        object.__setattr__(self, "_edge_sets", tuple(frozenset(e) for e in self.edges))
 
     @classmethod
     def from_edges(cls, k: int, n: int, edges: Iterable[Iterable[int]]) -> "KUniformHypergraph":
@@ -75,13 +74,15 @@ class KUniformHypergraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
+    @cached_property
     def edge_sets(self) -> tuple[frozenset, ...]:
-        return self._edge_sets  # type: ignore[attr-defined]
+        """The edges as frozensets, aligned with the edge list; built on first use."""
+        return tuple(map(frozenset, self.edges))
 
     @cached_property
     def edge_index(self) -> dict[frozenset, int]:
         """Edge set -> position in the edge list, built on first use."""
-        return {es: i for i, es in enumerate(self.edge_sets())}
+        return {es: i for i, es in enumerate(self.edge_sets)}
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -122,7 +123,7 @@ class KUniformHypergraph:
             raise ValueError(f"subset size must be in [1, {self.k - 1}], got {len(u)}")
         if any(v < 0 or v >= self.n for v in u):
             raise ValueError("subset members out of range")
-        return sum(1 for es in self.edge_sets() if u <= es)
+        return sum(1 for es in self.edge_sets if u <= es)
 
     def min_nonzero_ell_degree(self, ell: int) -> Optional[int]:
         """Minimum set_degree over ell-subsets lying inside at least one edge.
@@ -230,7 +231,7 @@ def independence_number(h: KUniformHypergraph, node_cap: int = 2_000_000) -> int
     if h.n == 0:
         raise ValueError("independence number of an empty vertex set is undefined")
     budget = Budget(node_cap)
-    edge_sets = h.edge_sets()
+    edge_sets = h.edge_sets
     best = 0
 
     def recurse(excluded: frozenset, forced: frozenset) -> None:
@@ -259,7 +260,7 @@ def independence_number(h: KUniformHypergraph, node_cap: int = 2_000_000) -> int
 
 def independence_number_bruteforce(h: KUniformHypergraph) -> int:
     """Exhaustive subset enumeration; oracle for small n only."""
-    edge_sets = h.edge_sets()
+    edge_sets = h.edge_sets
     for size in range(h.n, -1, -1):
         for s in itertools.combinations(range(h.n), size):
             ss = set(s)

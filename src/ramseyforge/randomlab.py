@@ -193,18 +193,18 @@ class PropertyCheckReport:
 
 
 def _random_disjoint_family(
-    cliques: list[frozenset], size: int, rng: random.Random
-) -> list[frozenset]:
+    cliques: list[tuple[int, ...]], size: int, rng: random.Random
+) -> list[tuple[int, ...]]:
     pool = cliques[:]
     rng.shuffle(pool)
-    family: list[frozenset] = []
+    family: list[tuple[int, ...]] = []
     used: set[int] = set()
     for q in pool:
         if len(family) == size:
             break
-        if not q & used:
+        if used.isdisjoint(q):
             family.append(q)
-            used |= q
+            used.update(q)
     return family
 
 
@@ -230,7 +230,7 @@ def property_check(
     rng = random.Random(seed)
     stats0 = clique_stats(g, k, d=d)
     t_k = stats0.t_k
-    km1 = [frozenset(q) for q in enumerate_cliques(g, k - 1)]
+    km1 = enumerate_cliques(g, k - 1)
 
     family_budget = max(1, math.floor(c * g.n))
     a_budget = max(0, math.floor(c * g.n))
@@ -244,7 +244,7 @@ def property_check(
     )
 
     samples: list[PropertySample] = []
-    planned: list[list[frozenset]] = [
+    planned: list[list[Iterable[int]]] = [
         [frozenset(b) for b in fam] for fam in extra_families
     ]
     for _ in range(trials):
@@ -326,7 +326,7 @@ def _grow_path(k: int, n: int, sought: list[tuple[int, ...]], m: int) -> Procedu
     """grow_monochromatic_tight_path on the sorted edges of the sought color."""
     if m < 1:
         raise ValueError("need m >= 1")
-    sought_set = {frozenset(e) for e in sought}
+    sought_set = set(sought)
 
     unused = set(range(n))
     path: list[int] = []
@@ -347,7 +347,7 @@ def _grow_path(k: int, n: int, sought: list[tuple[int, ...]], m: int) -> Procedu
         else:
             tail = path[-(k - 1):]
             ext = next(
-                (w for w in sorted(unused) if frozenset(tail + [w]) in sought_set), None
+                (w for w in sorted(unused) if tuple(sorted(tail + [w])) in sought_set), None
             )
             if ext is None:  # dead tail: retire it and rewind
                 trash.append(tuple(sorted(tail)))

@@ -97,8 +97,8 @@ def test_criterion_01_clique_equality():
 
 def _oracle_arrows(host, pattern):
     """Unpruned reference: raw injective copy scan, then all 2^|E| colorings."""
-    allowed = set(host.edge_sets())
-    index = {es: i for i, es in enumerate(host.edge_sets())}
+    allowed = set(host.edge_sets)
+    index = {es: i for i, es in enumerate(host.edge_sets)}
     masks = set()
     for img in itertools.permutations(range(host.n), pattern.n):
         mask = 0
@@ -270,7 +270,7 @@ def test_criterion_06_coloring_lift():
                 (u, v)
                 for u in range(hn)
                 for v in range(u + 1, hn)
-                if not any({u, v} <= es for es in h.edge_sets())
+                if not any({u, v} <= es for es in h.edge_sets)
             ]
             if not pairs:
                 continue
@@ -330,7 +330,7 @@ def test_criterion_08_vhigh_vlow_coloring():
         col, rep = vhigh_vlow_coloring(host, 4, list(members))
         high = set(rep.v_high)
         f = {tuple(sorted(e)) for e in rep.root_edges}
-        for es, c in zip(host.edge_sets(), col.colors):
+        for es, c in zip(host.edge_sets, col.colors):
             if c == BLUE:
                 assert es & high or tuple(sorted(es)) in f
             else:

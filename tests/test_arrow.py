@@ -32,8 +32,8 @@ from ramseyforge.hypergraph import BLUE, RED, EdgeColoring, KUniformHypergraph
 
 def oracle_masks(host, pattern):
     """Edge bitmasks of all copies, found by trying every raw injection."""
-    allowed = set(host.edge_sets())
-    index = {es: i for i, es in enumerate(host.edge_sets())}
+    allowed = set(host.edge_sets)
+    index = {es: i for i, es in enumerate(host.edge_sets)}
     masks = set()
     for img in itertools.permutations(range(host.n), pattern.n):
         mask = 0
@@ -331,7 +331,7 @@ def test_lift_copies_base_when_v_isolated():
     hu = contract_pair(h, 0, 4).hypergraph
     base = find_mono_free_base(hu, 4)
     res = clique_lift_coloring(h, 0, 4, base, 4)
-    for es, c in zip(h.edge_sets(), res.coloring.colors):
+    for es, c in zip(h.edge_sets, res.coloring.colors):
         assert c == base.color_of(es)
 
 
@@ -354,7 +354,7 @@ def test_lift_rule_iii_opposes_block_color():
     for i, blk in enumerate(part.blocks):
         for x in blk:
             block_of[x] = i
-    for es, c in zip(h.edge_sets(), res.coloring.colors):
+    for es, c in zip(h.edge_sets, res.coloring.colors):
         if {0, 1} <= es:
             (x,) = es - {0, 1}
             if x in block_of:
@@ -376,7 +376,7 @@ def test_lift_preserves_mono_freeness_small():
             (u, v)
             for u in range(hn)
             for v in range(u + 1, hn)
-            if not any({u, v} <= es for es in h.edge_sets())
+            if not any({u, v} <= es for es in h.edge_sets)
         ]
         if not pairs:
             continue
@@ -402,7 +402,7 @@ def test_vhigh_vlow_partition_properties():
     col, rep = vhigh_vlow_coloring(host, 4, list(members))
     high = set(rep.v_high)
     f = {tuple(sorted(e)) for e in rep.root_edges}
-    for es, c in zip(host.edge_sets(), col.colors):
+    for es, c in zip(host.edge_sets, col.colors):
         e = tuple(sorted(es))
         if c == BLUE:
             assert es & high or e in f

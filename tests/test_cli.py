@@ -85,6 +85,17 @@ def test_embed_prints_mapping_or_none(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "none"
 
 
+def test_embed_coloring_without_color_exit_1(tmp_path, capsys):
+    # a coloring with no colour to filter by is refused, not ignored
+    k4 = write_hg(tmp_path / "k4.json", clique(2, 4))
+    p3 = write_hg(tmp_path / "p3.json", ell_path(2, 1, 3))
+    coloring = tmp_path / "c.json"
+    coloring.write_text(json.dumps(["R"] * 6))
+    argv = ["embed", "--pattern", p3, "--host", k4, "--coloring", str(coloring)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: --coloring requires --color\n"
+
+
 def test_color_schemes(tmp_path):
     k6 = write_hg(tmp_path / "k6.json", clique(2, 6))
     out = tmp_path / "c.json"

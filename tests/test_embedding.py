@@ -27,7 +27,7 @@ from ramseyforge.hypergraph import BLUE, RED, EdgeColoring, KUniformHypergraph
 def bruteforce_copies(pattern, host, allowed=None):
     """All injective maps sending every pattern edge onto an allowed host edge."""
     if allowed is None:
-        allowed = set(host.edge_sets())
+        allowed = set(host.edge_sets)
     out = []
     for img in itertools.permutations(range(host.n), pattern.n):
         if all(frozenset(img[v] for v in e) in allowed for e in pattern.edges):
@@ -126,7 +126,7 @@ def small_k_graphs(k, max_n, max_m):
 ))
 def test_copy_edge_masks_match_bruteforce(pair):
     pattern, host = pair
-    index = {es: i for i, es in enumerate(host.edge_sets())}
+    index = {es: i for i, es in enumerate(host.edge_sets)}
     want = {
         sum(1 << index[frozenset(img[v] for v in e)] for e in pattern.edges)
         for img in bruteforce_copies(pattern, host)

@@ -45,6 +45,17 @@ def test_validation_rejects_bad_edges():
     with pytest.raises(ValueError):
         # out of lex order
         KUniformHypergraph(3, 5, ((0, 2, 3), (0, 1, 2)))
+    with pytest.raises(ValueError):
+        KUniformHypergraph(3, 4, ((0, 0, 2),))  # repeated vertex
+    with pytest.raises(ValueError):
+        KUniformHypergraph(3, 4, ((0, 2, 1),))  # unsorted edge
+
+
+def test_edge_sets_built_on_first_use():
+    h = KUniformHypergraph(3, 5, ((0, 1, 2), (0, 2, 4)))
+    assert set(vars(h)) == {"k", "n", "edges"}
+    assert h.edge_sets == tuple(frozenset(e) for e in h.edges)
+    assert "edge_sets" in vars(h)
 
 
 def test_degrees_and_set_degree():
@@ -167,7 +178,7 @@ def test_automorphism_count_known():
 
 def _isomorphisms(h1, h2):
     """Every vertex permutation mapping the edges of h1 onto those of h2."""
-    target = set(h2.edge_sets())
+    target = set(h2.edge_sets)
     for perm in itertools.permutations(range(h1.n)):
         if {frozenset(perm[v] for v in e) for e in h1.edges} == target:
             yield perm
@@ -196,7 +207,7 @@ def test_isomorphism_matches_bruteforce(k, data):
     if iso is not None:
         assert sorted(iso) == sorted(iso.values()) == list(range(h1.n))
         image = {frozenset(iso[v] for v in e) for e in h1.edges}
-        assert image == set(h2.edge_sets())
+        assert image == set(h2.edge_sets)
 
 
 def test_isomorphism_searches_respect_node_cap():

@@ -29,6 +29,21 @@ def test_no_unused_module_level_imports(path):
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_at_module_level(path):
+    # hypergraph and embedding import each other, so hypergraph alone
+    # imports from embedding inside its functions
+    tree = ast.parse(path.read_text())
+    nested = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and node not in tree.body
+        and not (path.name == "hypergraph.py" and getattr(node, "module", None) == "embedding")
+    ]
+    assert not nested, f"{path.name}: imports inside functions at lines {nested}"
+
+
 def _bench_tracing():
     spec = importlib.util.spec_from_file_location(
         "bench_tracing", ROOT / "perfbench" / "tracing.py"
