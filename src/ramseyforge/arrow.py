@@ -141,8 +141,10 @@ def arrows(
     decision node, that is each time the search picks an edge to branch
     on, the first edge (fixed red) included; colors forced by propagation
     cost nothing.  copy_node_cap bounds each copy search, both the one
-    that builds the masks and the two that verify a certificate.  Either
-    budget running out gives Unknown.
+    that builds the masks and the two that verify a certificate; it also
+    bounds, counted apart, the orbit searches that build the pattern's
+    symmetry-breaking conditions on its first use (see copy_edge_masks).
+    Either budget running out gives Unknown.
     """
     if host.k != pattern.k:
         raise ValueError("host and pattern must share the uniformity")
@@ -382,7 +384,8 @@ def vhigh_vlow_coloring(
     Gadgets must be rooted at vertex 0 (as produced by the gadget
     constructor); a copy's root edge is the image of the unique gadget
     edge containing the root.  Copies are counted as distinct image edge
-    sets, so automorphic re-embeddings do not inflate the counts.
+    sets: the copy search meets the orbit conditions of the gadget's
+    copy_core, so it yields one map per edge set.
     """
     deg = h.degrees()
     v_high = tuple(sorted(x for x in range(h.n) if deg[x] >= d))
@@ -393,18 +396,19 @@ def vhigh_vlow_coloring(
     counts = []
     roots_per_gadget = []
     for g in gadgets:
-        g_root = next(e for e in g.edges if 0 in e)
-        seen: set[frozenset] = set()
+        # the root is the least covered vertex, so vertex 0 of the core too
+        core, less = g.copy_core(node_cap)
+        root = next(e for e in core.edges if 0 in e)
+        maps = (
+            enumerate_copies(core, h_low, node_cap=node_cap, _less=less)
+            if g.n <= h_low.n else ()
+        )
+        count = 0
         roots: set[frozenset] = set()
-        for mapping in enumerate_copies(g, h_low, node_cap=node_cap):
-            image = frozenset(
-                frozenset(mapping[x] for x in e) for e in g.edges
-            )
-            if image in seen:
-                continue
-            seen.add(image)
-            roots.add(frozenset(to_orig[mapping[x]] for x in g_root))
-        counts.append(len(seen))
+        for mapping in maps:
+            count += 1
+            roots.add(frozenset(to_orig[mapping[x]] for x in root))
+        counts.append(count)
         roots_per_gadget.append(roots)
     selected = min(range(len(gadgets)), key=lambda i: (counts[i], i))
     f_edges = roots_per_gadget[selected]

@@ -7,10 +7,11 @@ color, when a filter is given).
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Collection, Iterator, Optional
+from typing import Collection, Iterator, Mapping, Optional, Sequence
 
 from .constructions import find_ell_tree_order
 from .errors import Budget
@@ -36,7 +37,8 @@ class Embedding:
         host: KUniformHypergraph,
         coloring: Optional[EdgeColoring] = None,
     ) -> bool:
-        if len(set(self.mapping)) != pattern.n:
+        m = self.mapping
+        if not (len(set(m)) == len(m) == pattern.n and all(0 <= x < host.n for x in m)):
             return False
         allowed = _allowed_edges(host, coloring, self.color_filter)
         return all(img in allowed for img in self.image_edges(pattern))
@@ -91,6 +93,10 @@ def enumerate_copies(
     coloring: Optional[EdgeColoring] = None,
     color: Optional[str] = None,
     node_cap: int = 10_000_000,
+    *,
+    _pins: Optional[Mapping[int, int]] = None,
+    _less: Collection[tuple[int, int]] = (),
+    _budget: Optional[Budget] = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield every injective copy of pattern in host as a mapping tuple.
 
@@ -98,18 +104,29 @@ def enumerate_copies(
     along a fixed connectivity-first pattern order.  A pattern vertex with
     a placed neighbour tries only the host neighbours of that neighbour's
     image; node_cap counts the candidates tried.
+
+    Private keywords: _pins maps pattern vertices to the only host vertex
+    each may take.  _less holds pairs (v, w), v placed before w in the
+    pattern order, and keeps only the copies with mapping[v] < mapping[w]:
+    w tries only candidates above the images of its pairs, so a violating
+    subtree is never entered.  _budget, when given, is spent in place of a
+    fresh Budget(node_cap), so that several searches share one cap.
     """
     if pattern.k != host.k:
         raise ValueError("pattern and host must share the uniformity")
     if pattern.n > host.n:
         return
-    budget = Budget(node_cap)
+    budget = Budget(node_cap) if _budget is None else _budget
     allowed = _allowed_edges(host, coloring, color)
     order = _pattern_order(pattern)
     pos = {v: i for i, v in enumerate(order)}
     closing: list[list[frozenset]] = [[] for _ in range(pattern.n)]
     for es in pattern.edge_sets:
         closing[max(pos[v] for v in es)].append(es)
+    # below[i]: the pattern vertices whose images the image of order[i] must exceed
+    below: list[list[int]] = [[] for _ in range(pattern.n)]
+    for v, w in _less:
+        below[pos[w]].append(v)
     # anchor[i]: the first placed pattern neighbour of order[i], if any; the
     # image of order[i] must share a host edge with the anchor's image
     anchor: list[Optional[int]] = []
@@ -126,13 +143,29 @@ def enumerate_copies(
     if pattern.n == 0:
         yield ()
         return
+    pins = _pins or {}
     mapping: dict[int, int] = {}
     used: set[int] = set()
     adj = host.neighbors
     everyone = range(host.n)
+
+    def candidates(i: int) -> Sequence[int]:
+        """Host vertices order[i] may take, in increasing order: its pin, or
+        the host neighbours of its anchor's image, or every host vertex;
+        then only those above the images of its _less pairs."""
+        u, a = order[i], anchor[i]
+        if u in pins:
+            near = (pins[u],)
+        else:
+            near = everyone if a is None else adj[mapping[a]]
+        if below[i]:
+            floor = max([mapping[v] for v in below[i]])
+            near = near[bisect.bisect_right(near, floor):]
+        return near
+
     # depth-first search with an explicit stack: stack[i] holds the host
     # candidates still to try for order[i], in increasing index order
-    stack = [iter(everyone)]
+    stack = [iter(candidates(0))]
     while stack:
         i = len(stack) - 1
         u = order[i]
@@ -155,8 +188,7 @@ def enumerate_copies(
         if i + 1 == pattern.n:
             yield tuple(mapping[v] for v in range(pattern.n))
         else:
-            a = anchor[i + 1]
-            stack.append(iter(everyone if a is None else adj[mapping[a]]))
+            stack.append(iter(candidates(i + 1)))
 
 
 def find_copy(
@@ -191,6 +223,39 @@ def _edge_core(pattern: KUniformHypergraph) -> tuple[list[int], KUniformHypergra
     return covered, pattern if len(covered) == pattern.n else pattern.induced(covered)
 
 
+def symmetry_broken_core(
+    pattern: KUniformHypergraph,
+    node_cap: int = 10_000_000,
+) -> tuple[KUniformHypergraph, tuple[tuple[int, int], ...]]:
+    """The edge-covered core of pattern and its symmetry-breaking conditions.
+
+    The conditions are those of Grochow and Kellis (RECOMB 2007): walk the
+    core's vertices in the copy search's order, pinning each in turn; every
+    w in the orbit of v under the stabiliser of the earlier pins gives the
+    pair (v, w), read mapping[v] < mapping[w].  Among the copy maps of one
+    edge set, which differ by an automorphism of the core, exactly one
+    meets every pair: the first one the copy search yields.  Each orbit is
+    found by pinned copy searches of the core in itself, one per candidate
+    w of v's degree, so the automorphism group is never listed.  All the
+    orbit searches together try at most node_cap candidates; past that,
+    BudgetExceededError.  Cached per pattern by KUniformHypergraph.copy_core.
+    """
+    _, core = _edge_core(pattern)
+    deg = core.degrees()
+    budget = Budget(node_cap)
+    pins: dict[int, int] = {}
+    less = []
+    for v in _pattern_order(core):
+        for w in range(core.n):
+            if w == v or w in pins or deg[w] != deg[v]:
+                continue
+            autos = enumerate_copies(core, core, _pins={**pins, v: w}, _budget=budget)
+            if next(autos, None) is not None:
+                less.append((v, w))
+        pins[v] = v
+    return core, tuple(less)
+
+
 def copy_edge_masks(
     pattern: KUniformHypergraph,
     host: KUniformHypergraph,
@@ -202,21 +267,27 @@ def copy_edge_masks(
     A coloring contains a monochromatic copy iff one of these masks is
     monochromatic, which is what the arrow search checks at every node.
     Every mask has |E(pattern)| bits, since a vertex-injective map sends
-    distinct edges to distinct edges, so no mask contains another.
+    distinct edges to distinct edges, so no mask contains another.  The
+    copy search meets the orbit conditions of pattern.copy_core, so it
+    yields one map per copy and each mask comes out once.
+
+    node_cap bounds the candidates of the copy search.  The orbit searches
+    that build the conditions, on the pattern's first use only, are counted
+    apart and bounded by node_cap too.
     """
     if pattern.n > host.n:
         return []
-    _, core = _edge_core(pattern)
+    core, less = pattern.copy_core(node_cap)
     if core.num_edges == 0:
         return [0]
     index = host.edge_index
-    masks: set[int] = set()
-    for mapping in enumerate_copies(core, host, node_cap=node_cap):
-        mask = 0
-        for es in core.edge_sets:
-            mask |= 1 << index[frozenset(mapping[v] for v in es)]
-        masks.add(mask)
-    return sorted(masks)
+    masks = []
+    for mapping in enumerate_copies(core, host, node_cap=node_cap, _less=less):
+        image = mapping.__getitem__
+        # the edges' bits are distinct, so their sum is their union
+        masks.append(sum(1 << index[frozenset(map(image, e))] for e in core.edges))
+    masks.sort()
+    return masks
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,19 @@ class KUniformHypergraph:
                 adj[v].update(e)
         return tuple(tuple(sorted(a - {v})) for v, a in enumerate(adj))
 
+    def copy_core(
+        self, node_cap: int = 10_000_000
+    ) -> tuple["KUniformHypergraph", tuple[tuple[int, int], ...]]:
+        """(edge-covered core, orbit conditions of its copy search), built
+        on first use and cached; see embedding.symmetry_broken_core, whose
+        orbit searches node_cap bounds.  A build that runs out of budget
+        raises BudgetExceededError and caches nothing."""
+        if "_copy_core" not in self.__dict__:
+            from .embedding import symmetry_broken_core
+
+            self.__dict__["_copy_core"] = symmetry_broken_core(self, node_cap)
+        return self.__dict__["_copy_core"]
+
     @cached_property
     def invariant(self) -> tuple:
         """(k, n, m, sorted stable refinement signatures), built on first use.
@@ -334,13 +347,13 @@ def automorphism_count(
 
     Every copy of h in itself is an automorphism.  `fixed` lists vertices
     that must map to themselves, e.g. the root of a rooted construction
-    whose group is taken root-preservingly; it filters the enumerated
-    maps.  node_cap bounds the candidates the copy search tries.
+    whose group is taken root-preservingly; the copy search pins them, so
+    only their stabiliser is enumerated.  node_cap bounds the candidates
+    the copy search tries.
     """
     from .embedding import enumerate_copies
 
-    pins = tuple(fixed)
-    return sum(
-        all(mapping[v] == v for v in pins)
-        for mapping in enumerate_copies(h, h, node_cap=node_cap)
-    )
+    pins = {v: v for v in fixed}
+    if any(not 0 <= v < h.n for v in pins):
+        raise ValueError("fixed vertices out of range")
+    return sum(1 for _ in enumerate_copies(h, h, node_cap=node_cap, _pins=pins))

@@ -25,9 +25,15 @@ from ramseyforge.constructions import (
     gadget_family,
     star_tree,
 )
-from ramseyforge.embedding import find_copy
-from ramseyforge.errors import BudgetExceededError, InvalidBaseColoringError
-from ramseyforge.hypergraph import BLUE, RED, EdgeColoring, KUniformHypergraph
+from ramseyforge.embedding import enumerate_copies, find_copy
+from ramseyforge.errors import Budget, BudgetExceededError, InvalidBaseColoringError
+from ramseyforge.hypergraph import (
+    BLUE,
+    RED,
+    EdgeColoring,
+    KUniformHypergraph,
+    automorphism_count,
+)
 
 
 def oracle_masks(host, pattern):
@@ -137,6 +143,26 @@ def test_many_disjoint_triangles_not_arrows():
     assert v.result == ArrowResult.NOT_ARROWS
     assert find_copy(clique(2, 3), host, v.certificate, RED) is None
     assert find_copy(clique(2, 3), host, v.certificate, BLUE) is None
+
+
+def test_tiny_copy_node_cap_bounds_the_orbit_searches(monkeypatch):
+    # building the orbit conditions of C5 tries 48 candidates; under a cap
+    # of 20 it stops at the 21st, arrows gives Unknown and nothing is
+    # cached, so a later call with room for the work decides
+    spent = []
+    spend = Budget.spend
+
+    def counted(self, amount=1):
+        spent.append(amount)
+        spend(self, amount)
+
+    monkeypatch.setattr(Budget, "spend", counted)
+    c5 = cycle(5)
+    assert arrows(clique(2, 9), c5, copy_node_cap=20).result == ArrowResult.UNKNOWN
+    assert sum(spent) == 21
+    with pytest.raises(BudgetExceededError):
+        c5.copy_core(20)
+    assert arrows(clique(2, 9), c5).result == ArrowResult.ARROWS
 
 
 def test_certificate_check_runs_under_copy_node_cap(monkeypatch):
@@ -411,3 +437,59 @@ def test_vhigh_vlow_partition_properties():
     # the red part has no copy of the selected gadget
     red = col.monochromatic_subgraph(RED)
     assert find_copy(members[rep.selected_index], red) is None
+
+
+def reference_vhigh_vlow(h, d, gadgets):
+    """The coloring as computed before the copy search broke symmetries:
+    every copy map is enumerated and repeats of an image edge set are
+    dropped by a seen set."""
+    deg = h.degrees()
+    v_high = tuple(sorted(x for x in range(h.n) if deg[x] >= d))
+    v_low = sorted(set(range(h.n)) - set(v_high))
+    h_low = h.induced(v_low)
+    counts = []
+    roots_per_gadget = []
+    for g in gadgets:
+        g_root = next(e for e in g.edges if 0 in e)
+        seen = set()
+        roots = set()
+        for mapping in enumerate_copies(g, h_low):
+            image = frozenset(frozenset(mapping[x] for x in e) for e in g.edges)
+            if image in seen:
+                continue
+            seen.add(image)
+            roots.add(frozenset(v_low[mapping[x]] for x in g_root))
+        counts.append(len(seen))
+        roots_per_gadget.append(roots)
+    selected = min(range(len(gadgets)), key=lambda i: (counts[i], i))
+    f_edges = roots_per_gadget[selected]
+    high = set(v_high)
+    colors = tuple(BLUE if (es & high or es in f_edges) else RED for es in h.edge_sets)
+    root_edges = tuple(sorted(tuple(sorted(e)) for e in f_edges))
+    return colors, v_high, tuple(counts), selected, root_edges
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_vhigh_vlow_matches_seen_dedupe(seed):
+    rng = random.Random(seed)
+    members, _ = gadget_family(3, 2, seed)
+    # one member has a non-trivial automorphism, so the seen loop drops maps
+    assert max(automorphism_count(g) for g in members) == 2
+    parts = [members[0], members[1], members[rng.randrange(2)]]
+    base = disjoint_union(parts)
+    # shuffle the labels and add a few random edges, some on high-degree vertices
+    perm = list(range(base.n))
+    rng.shuffle(perm)
+    edges = [tuple(perm[v] for v in e) for e in base.edges]
+    edges += [rng.sample(range(base.n), 3) for _ in range(8)]
+    host = KUniformHypergraph.from_edges(3, base.n, edges)
+    assert min(vhigh_vlow_coloring(host, 99, list(members))[1].copy_counts) >= 1
+    for d in (4, 5, 6, 99):
+        col, rep = vhigh_vlow_coloring(host, d, list(members))
+        colors, v_high, counts, selected, root_edges = reference_vhigh_vlow(
+            host, d, list(members)
+        )
+        assert col.colors == colors
+        assert (rep.v_high, rep.copy_counts, rep.selected_index, rep.root_edges) == (
+            v_high, counts, selected, root_edges
+        )

@@ -148,6 +148,57 @@ def test_enumerate_copies_in_search_order(pair):
     assert list(enumerate_copies(pattern, host)) == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(
+    lambda k: st.tuples(small_k_graphs(k, 5, 4), small_k_graphs(k, 7, 10))
+))
+def test_orbit_conditions_keep_the_first_map_of_each_copy(pair):
+    # the maps of one copy edge set differ by an automorphism of the core;
+    # under the orbit conditions the search yields only the first of them
+    pattern, host = pair
+    core, less = pattern.copy_core()
+    firsts = {}
+    for img in enumerate_copies(core, host):
+        firsts.setdefault(frozenset(frozenset(img[v] for v in e) for e in core.edges), img)
+    assert list(enumerate_copies(core, host, _less=less)) == list(firsts.values())
+    masks = copy_edge_masks(pattern, host)
+    assert len(set(masks)) == len(masks)
+
+
+def cycle(n):
+    return KUniformHypergraph.from_edges(2, n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def star(m):
+    """K1,m: centre 0, leaves 1..m."""
+    return KUniformHypergraph.from_edges(2, m + 1, [(0, i) for i in range(1, m + 1)])
+
+
+def test_copy_edge_masks_one_map_per_copy():
+    # C5 has 10 automorphisms: one map per automorphism tries 14,568 candidates
+    assert len(copy_edge_masks(cycle(5), clique(2, 8), node_cap=5_000)) == 672
+
+
+def test_copy_edge_masks_never_lists_the_group():
+    # K1,12 has 12! automorphisms, far too many to list or to enumerate as
+    # maps; node_cap bounds the orbit searches (4,213 candidates) and,
+    # apart, the conditioned search, which walks the 2^12 increasing leaf
+    # sequences
+    assert copy_edge_masks(star(12), star(12), node_cap=5_000) == [4095]
+
+
+def test_embedding_is_valid_needs_one_host_vertex_per_pattern_vertex():
+    edge, k4 = clique(2, 2), clique(2, 4)
+    assert Embedding((0, 1)).is_valid(edge, k4)
+    for wrong_length in [(0,), (0, 1, 1), (0, 1, 2)]:
+        assert not Embedding(wrong_length).is_valid(edge, k4)
+    # an isolated pattern vertex closes no edge but still needs a host vertex
+    pendant = KUniformHypergraph.from_edges(2, 3, [(0, 1)])
+    assert Embedding((0, 1, 3)).is_valid(pendant, k4)
+    for bad in [(0, 1, 4), (0, 1, -1), (0, 1, 1)]:
+        assert not Embedding(bad).is_valid(pendant, k4)
+
+
 def reference_pattern_order(pattern):
     """The documented rule, one max() per step: most contact with the placed
     vertices, then higher degree, then lower index."""

@@ -176,6 +176,15 @@ def test_automorphism_count_known():
     assert automorphism_count(c4, fixed=(0,)) == 2
 
 
+def test_automorphism_count_pins_inside_the_search():
+    # K1,8 has 8! automorphisms; with seven leaves pinned only the identity
+    # is left, and the search never enumerates the rest of the group
+    star = KUniformHypergraph.from_edges(2, 9, [(0, i) for i in range(1, 9)])
+    assert automorphism_count(star, fixed=range(1, 8), node_cap=1_000) == 1
+    with pytest.raises(ValueError):
+        automorphism_count(star, fixed=(9,))
+
+
 def _isomorphisms(h1, h2):
     """Every vertex permutation mapping the edges of h1 onto those of h2."""
     target = set(h2.edge_sets)
