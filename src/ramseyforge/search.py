@@ -215,38 +215,42 @@ def _kth_subset(n: int, k: int, index: int) -> tuple[int, ...]:
 # -- exact tiny search over non-isomorphic hosts ---------------------------
 
 
-def enumerate_hosts(k: int, num_edges: int, vcap: int) -> Iterator[KUniformHypergraph]:
-    """All k-graphs with the given edge count, no isolated vertices and at
-    most vcap vertices, one representative per labeled canonical form.
+def enumerate_hosts(k: int, max_edges: int, vcap: int) -> Iterator[KUniformHypergraph]:
+    """One k-graph per isomorphism class with 1..max_edges edges, no
+    isolated vertices and at most vcap vertices, by increasing edge count.
 
-    Edges are added in any order but new vertices always take the next
-    free indices, which collapses most relabelings; exact duplicates are
-    removed via the canonical edge list.
+    Level m grows each class representative of level m-1 by one absent
+    edge, whose new vertices take the next free indices; a child is kept
+    unless a kept child of its level with the same invariant is isomorphic
+    to it.  Every class is reached: dropping an edge of a host, and the
+    vertices that leaves isolated, gives a host of the level below.  The
+    generator stops at the first level with no child.
     """
-    yield from _grow_hosts(k, num_edges, vcap, [], 0, set())
-
-
-def _grow_hosts(
-    k: int, num_edges: int, vcap: int, edges: list[tuple[int, ...]], used: int, seen: set
-) -> Iterator[KUniformHypergraph]:
-    # module level, not a closure: a self-recursive closure is a reference
-    # cycle that keeps `seen` alive until the cyclic collector runs
-    if len(edges) == num_edges:
-        key = tuple(sorted(edges))
-        if key not in seen:
-            seen.add(key)
-            yield KUniformHypergraph(k, used, key)
-        return
-    # a new edge may introduce up to k fresh vertices, consecutively
-    for fresh in range(0, k + 1):
-        if used + fresh > vcap:
-            break
-        new_part = tuple(range(used, used + fresh))
-        for old_part in itertools.combinations(range(used), k - fresh):
-            e = tuple(sorted(old_part + new_part))
-            if e in edges:
-                continue
-            yield from _grow_hosts(k, num_edges, vcap, edges + [e], used + fresh, seen)
+    level = [KUniformHypergraph(k, 0, ())]
+    for _ in range(max_edges):
+        # kept children bucketed by invariant: only a bucket's members
+        # can be isomorphic to a new child
+        kept: dict[tuple, list[KUniformHypergraph]] = {}
+        next_level = []
+        for rep in level:
+            for fresh in range(min(k, vcap - rep.n) + 1):
+                new_part = tuple(range(rep.n, rep.n + fresh))
+                for old_part in itertools.combinations(range(rep.n), k - fresh):
+                    e = old_part + new_part
+                    if e in rep.edges:
+                        continue
+                    child = KUniformHypergraph(
+                        k, rep.n + fresh, tuple(sorted(rep.edges + (e,)))
+                    )
+                    bucket = kept.setdefault(child.invariant, [])
+                    if any(are_isomorphic(child, other) for other in bucket):
+                        continue
+                    bucket.append(child)
+                    next_level.append(child)
+                    yield child
+        if not next_level:
+            return
+        level = next_level
 
 
 def size_ramsey_exact_tiny(
@@ -263,31 +267,22 @@ def size_ramsey_exact_tiny(
     BudgetExceededError: that host might arrow, so no count is exact.
     """
     _require_edges(pattern)
+    if vcap < 0 or ecap < 0:
+        raise ValueError(f"caps must be non-negative, got vcap={vcap}, ecap={ecap}")
     if pattern.n > vcap:
         raise CapsTooSmallError(f"the pattern has more than vcap={vcap} vertices")
-    for m in range(pattern.num_edges, ecap + 1):
-        # hosts kept so far, bucketed by invariant: only a bucket's members
-        # can be isomorphic to a new host
-        kept: dict[tuple, list[KUniformHypergraph]] = {}
-        for host in enumerate_hosts(pattern.k, m, vcap):
-            bucket = kept.setdefault(host.invariant, [])
-            if any(are_isomorphic(host, other) for other in bucket):
-                continue
-            bucket.append(host)
-            verdict = arrows(host, pattern, node_cap)
-            if verdict.result == ArrowResult.UNKNOWN:
-                raise BudgetExceededError(
-                    f"arrow search budget of {node_cap} nodes exceeded on a "
-                    f"host with {m} edges"
-                )
-            if verdict.result == ArrowResult.ARROWS:
-                return SizeRamseyBound(
-                    pattern,
-                    m,
-                    m,
-                    host,
-                    caps={"vcap": vcap, "ecap": ecap},
-                )
+    for host in enumerate_hosts(pattern.k, ecap, vcap):
+        if host.num_edges < pattern.num_edges:
+            continue
+        verdict = arrows(host, pattern, node_cap)
+        if verdict.result == ArrowResult.UNKNOWN:
+            raise BudgetExceededError(
+                f"arrow search budget of {node_cap} nodes exceeded on a "
+                f"host with {host.num_edges} edges"
+            )
+        if verdict.result == ArrowResult.ARROWS:
+            m = host.num_edges
+            return SizeRamseyBound(pattern, m, m, host, caps={"vcap": vcap, "ecap": ecap})
     raise CapsTooSmallError(
         f"no arrowing host with <= {ecap} edges on <= {vcap} vertices"
     )

@@ -146,6 +146,9 @@ def test_size_ramsey_commands(tmp_path):
     # caps too small -> exit 2
     assert main(["size-ramsey", "exact", "--pattern", k3,
                  "--vcap", "4", "--ecap", "3"]) == 2
+    # at most 6 edges fit on 4 vertices: a huge ecap ends at once
+    assert main(["size-ramsey", "exact", "--pattern", k3,
+                 "--vcap", "4", "--ecap", "1000000"]) == 2
 
 
 def test_size_ramsey_exact_budget_exit(tmp_path, capsys):
@@ -356,8 +359,12 @@ def test_fuzzed_input_files_exit_cleanly(tmp_path, capsys, host, pattern, colori
     ["construct", "star-tree", "--k", "1", "--n", "5"],
     ["randomlab", "pipeline", "--n", "8", "--p", "0.5", "--m", "0"],
     ["randomlab", "pipeline", "--n", "0", "--d", "1", "--m", "2"],
+    ["size-ramsey", "exact", "--pattern", "K3", "--vcap", "-3"],
+    ["size-ramsey", "exact", "--pattern", "K3", "--ecap", "-3"],
 ])
 def test_bad_numbers_exit_with_one_line(tmp_path, capsys, argv):
+    k3 = write_hg(tmp_path / "k3.json", clique(2, 3))
+    argv = [k3 if a == "K3" else a for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out.json")]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import sys
 
 import networkx as nx
 import pytest
@@ -66,17 +68,61 @@ def _classes(hosts, same):
     return reps
 
 
+def _level_counts(hosts):
+    counts = {}
+    for h in hosts:
+        counts[h.num_edges] = counts.get(h.num_edges, 0) + 1
+    return counts
+
+
 def test_enumerate_hosts_small_counts():
     # single k=2 edge: exactly one host
     hosts = list(enumerate_hosts(2, 1, 4))
     assert len(hosts) == 1 and hosts[0].edges == ((0, 1),)
-    # graphs with m edges and no isolated vertex: 1, 2, 5, 11 (OEIS A000664)
-    for m, count in zip((1, 2, 3, 4), (1, 2, 5, 11)):
+    # graphs with m edges and no isolated vertex: 1, 2, 5, 11, 26, 68 (OEIS A000664)
+    for m, count in zip(range(1, 7), (1, 2, 5, 11, 26, 68)):
         hosts = list(enumerate_hosts(2, m, 2 * m))
-        assert len(_classes(hosts, are_isomorphic)) == count
+        assert [h.num_edges for h in hosts] == sorted(h.num_edges for h in hosts)
+        assert _level_counts(hosts)[m] == count
         # every host has no isolated vertex
         for h in hosts:
             assert all(d > 0 for d in h.degrees())
+    # on at most 7 vertices
+    counts = _level_counts(enumerate_hosts(2, 7, 7))
+    assert [counts[m] for m in range(3, 8)] == [5, 10, 21, 41, 65]
+
+
+def _bounded_steps(limit):
+    """A trace function that fails once the lines run inside
+    enumerate_hosts exceed limit: the work is bounded by a count, not a clock."""
+    code, steps = search.enumerate_hosts.__code__, [0]
+
+    def count(frame, event, arg):
+        steps[0] += 1
+        if steps[0] > limit:
+            raise AssertionError(f"enumerate_hosts ran more than {limit} lines")
+        return count
+
+    return lambda frame, event, arg: count if frame.f_code is code else None
+
+
+def test_enumerate_hosts_stops_at_the_first_empty_level(monkeypatch):
+    # at most 6 edges fit on 4 vertices, so the levels end long before 10**9
+    calls = []
+    real_arrows = search.arrows
+    monkeypatch.setattr(search, "arrows", lambda *a: calls.append(a) or real_arrows(*a))
+    previous = sys.gettrace()
+    sys.settrace(_bounded_steps(5_000))
+    try:
+        hosts = list(enumerate_hosts(2, 10**9, 4))
+        # the exact scan tries each of the 7 hosts with 3 or more edges
+        # once, then reports the caps as too small
+        with pytest.raises(CapsTooSmallError):
+            size_ramsey_exact_tiny(clique(2, 3), vcap=4, ecap=10**9)
+    finally:
+        sys.settrace(previous)
+    assert _level_counts(hosts) == {1: 1, 2: 2, 3: 3, 4: 2, 5: 1, 6: 1}
+    assert len(calls) == 7
 
 
 def _incidence_graph(h):
@@ -93,35 +139,66 @@ def _nx_isomorphic(a, b):
     return nx.is_isomorphic(_incidence_graph(a), _incidence_graph(b), node_match=match)
 
 
+def _nx_class_count(hosts):
+    """Isomorphism classes of `hosts` by networkx, bucketed by the sorted
+    degree sequence so that only same-degree hosts are compared."""
+    buckets = {}
+    for h in hosts:
+        buckets.setdefault(tuple(sorted(h.degrees())), []).append(h)
+    return sum(len(_classes(b, _nx_isomorphic)) for b in buckets.values())
+
+
+def _labelled_hosts(k, m, vcap):
+    """Every k-graph with m edges on the vertex set 0..n-1, n <= vcap, that
+    leaves no vertex isolated: a brute-force list, one host per labelling."""
+    for n in range(k, vcap + 1):
+        for edges in itertools.combinations(itertools.combinations(range(n), k), m):
+            if len(set().union(*edges)) == n:
+                yield KUniformHypergraph(k, n, edges)
+
+
 @pytest.mark.parametrize("m, vcap", [(1, 3), (2, 6), (3, 9)])
 def test_enumerate_hosts_k3_classes_match_networkx(m, vcap):
     hosts = list(enumerate_hosts(3, m, vcap))
-    theirs = _classes(hosts, _nx_isomorphic)
-    assert len(_classes(hosts, are_isomorphic)) == len(theirs)
-    # hosts networkx calls isomorphic share one invariant
-    for h in hosts:
-        rep = next(r for r in theirs if _nx_isomorphic(h, r))
-        assert h.invariant == rep.invariant
+    assert {h.num_edges for h in hosts} == set(range(1, m + 1))
+    for level in range(1, m + 1):
+        ours = [h for h in hosts if h.num_edges == level]
+        assert all(h.n <= vcap and min(h.degrees()) > 0 for h in ours)
+        assert len(_classes(ours, _nx_isomorphic)) == len(ours)
+        assert _nx_class_count(_labelled_hosts(3, level, vcap)) == len(ours)
+
+
+def _children(h, k, vcap):
+    """Edges that enumerate_hosts tries on top of host h."""
+    return sum(
+        math.comb(h.n, k - fresh) for fresh in range(min(k, vcap - h.n) + 1)
+    ) - h.num_edges
 
 
 def test_exact_dedupe_calls_at_most_one_isomorphism_test_per_host(monkeypatch):
-    counts = {"iso": 0, "hosts": 0}
+    # each child a level grows costs at most one isomorphism test on average
+    counts = {"iso": 0}
+    hosts = []
     real_iso, real_enum = search.are_isomorphic, search.enumerate_hosts
 
     def counting_iso(h1, h2):
         counts["iso"] += 1
         return real_iso(h1, h2)
 
-    def counting_enum(*args):
+    def recording_enum(*args):
         for h in real_enum(*args):
-            counts["hosts"] += 1
+            hosts.append(h)
             yield h
 
     monkeypatch.setattr(search, "are_isomorphic", counting_iso)
-    monkeypatch.setattr(search, "enumerate_hosts", counting_enum)
+    monkeypatch.setattr(search, "enumerate_hosts", recording_enum)
     bound = size_ramsey_exact_tiny(ell_path(2, 1, 4), vcap=6, ecap=7)
     assert bound.upper == 7
-    assert 0 < counts["iso"] <= counts["hosts"]
+    # the children of the empty host and of every host below the last level
+    # reached; the last level is only partly grown
+    last = hosts[-1].num_edges
+    tried = 1 + sum(_children(h, 2, 6) for h in hosts if h.num_edges < last)
+    assert 0 < counts["iso"] <= tried
 
 
 def test_kth_subset_matches_lexicographic_order():
@@ -163,6 +240,28 @@ def test_size_ramsey_exact_tiny_p3():
     bound = size_ramsey_exact_tiny(p3, vcap=6, ecap=4)
     assert bound.lower == bound.upper == 3
     assert are_isomorphic(bound.witness_host, clique(2, 3))
+
+
+def _arrows_by_brute_force(host, pattern):
+    """Every 2-colouring of host has a monochromatic copy of pattern."""
+    copies = []
+    for image in itertools.permutations(range(host.n), pattern.n):
+        mapped = [tuple(sorted(image[v] for v in e)) for e in pattern.edges]
+        if all(e in host.edges for e in mapped):
+            copies.append([host.edges.index(e) for e in mapped])
+    return all(
+        any(len({colours[i] for i in c}) == 1 for c in copies)
+        for colours in itertools.product((0, 1), repeat=host.num_edges)
+    )
+
+
+def test_size_ramsey_exact_tiny_tight_3_path():
+    # the tight 3-edge 3-path: r-hat = 7 on at most 6 vertices
+    path = ell_path(3, 2, 5)
+    bound = size_ramsey_exact_tiny(path, vcap=6, ecap=7)
+    assert bound.lower == bound.upper == 7
+    assert bound.witness_host.num_edges == 7 and bound.witness_host.n <= 6
+    assert _arrows_by_brute_force(bound.witness_host, path)
 
 
 def test_size_ramsey_exact_tiny_caps_error():
