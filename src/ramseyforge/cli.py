@@ -337,7 +337,7 @@ def _cmd_randomlab(args) -> int:
         coloring = _majority_coloring(host)
     else:
         coloring = _random_coloring(host, seed)
-    stats = clique_stats(graph, args.k, d=args.d)
+    stats = clique_stats(graph, host, d=args.d)
     account = iterated_procedure(host, coloring, BLUE, args.m)
     body = {
         "graph_edges": graph.num_edges,

@@ -33,6 +33,23 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _well_formed(edges: tuple, k: int, n: int) -> bool:
+    """The edge invariants as whole-list passes: tuples of length k, each
+    strictly increasing inside range(n), the list strictly increasing."""
+    try:
+        if set(map(type, edges)) != {tuple} or set(map(len, edges)) != {k}:
+            return False
+        cols = list(zip(*edges))
+        return (
+            all(all(map(operator.lt, a, b)) for a, b in zip(cols, cols[1:]))
+            and min(cols[0]) >= 0
+            and max(cols[-1]) < n
+            and all(map(operator.lt, edges, edges[1:]))
+        )
+    except TypeError:  # edges or vertices of other types; the edge loop decides
+        return False
+
+
 @dataclass(frozen=True)
 class KUniformHypergraph:
     """A k-graph in canonical form.
@@ -51,6 +68,13 @@ class KUniformHypergraph:
             raise ValueError(f"uniformity k must be >= 2, got {self.k}")
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
+        # the whole-list passes cost about as much as a dozen edges through
+        # the loop, which also names the first edge that fails
+        if len(self.edges) <= 12 or not _well_formed(self.edges, self.k, self.n):
+            self._check_each_edge()
+
+    def _check_each_edge(self) -> None:
+        """The edge invariants one edge at a time; raises at the first break."""
         prev = None
         for e in self.edges:
             increasing = isinstance(e, tuple) and all(map(operator.lt, e, e[1:]))
@@ -203,9 +227,12 @@ class EdgeColoring:
     def __post_init__(self):
         if len(self.colors) != self.host.num_edges:
             raise ValueError("coloring length differs from host edge count")
-        for c in self.colors:
-            if c not in COLORS:
-                raise ValueError(f"bad color {c!r}")
+        try:
+            ok = set(COLORS).issuperset(self.colors)
+        except TypeError:  # an unhashable colour is a bad colour too
+            ok = False
+        if not ok:
+            raise ValueError(f"bad color {next(c for c in self.colors if c not in COLORS)!r}")
 
     def color_of(self, edge: Iterable[int]) -> str:
         key = frozenset(edge)
@@ -238,12 +265,28 @@ class EdgeColoring:
 def independence_number(h: KUniformHypergraph, node_cap: int = 2_000_000) -> int:
     """Size of a largest vertex set spanning no edge (exact branch and bound).
 
-    Raises BudgetExceededError when the node cap is hit; callers should
-    shrink the instance.  Intended for a few dozen vertices.
+    Sums the searches on the induced connected components of h (vertices
+    joined through shared edges), all under one node budget.  Raises
+    BudgetExceededError when the node cap is hit; callers should shrink
+    the instance.  Intended for components of a few dozen vertices.
     """
     if h.n == 0:
         raise ValueError("independence number of an empty vertex set is undefined")
     budget = Budget(node_cap)
+    total = 0
+    rest = set(range(h.n))
+    while rest:
+        part, frontier = set(), {rest.pop()}
+        while frontier:
+            part |= frontier
+            frontier = {w for v in frontier for w in h.neighbors[v]} - part
+        rest -= part
+        total += _independence_search(h.induced(part), budget)
+    return total
+
+
+def _independence_search(h: KUniformHypergraph, budget: Budget) -> int:
+    """Branch and bound for independence_number, one node per budget unit."""
     edge_sets = h.edge_sets
     best = 0
 
@@ -253,11 +296,9 @@ def independence_number(h: KUniformHypergraph, node_cap: int = 2_000_000) -> int
         candidate = h.n - len(excluded)
         if candidate <= best:
             return
-        violating = None
         for es in edge_sets:
             if not es & excluded:
-                violating = es
-                return _branch(violating, excluded, forced)
+                return _branch(es, excluded, forced)
         best = candidate
 
     def _branch(edge: frozenset, excluded: frozenset, forced: frozenset) -> None:
@@ -269,17 +310,6 @@ def independence_number(h: KUniformHypergraph, node_cap: int = 2_000_000) -> int
 
     recurse(frozenset(), frozenset())
     return best
-
-
-def independence_number_bruteforce(h: KUniformHypergraph) -> int:
-    """Exhaustive subset enumeration; oracle for small n only."""
-    edge_sets = h.edge_sets
-    for size in range(h.n, -1, -1):
-        for s in itertools.combinations(range(h.n), size):
-            ss = set(s)
-            if not any(es <= ss for es in edge_sets):
-                return size
-    return 0
 
 
 # -- isomorphism and automorphisms ---------------------------------------

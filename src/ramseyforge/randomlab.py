@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .constructions import enumerate_cliques
+from .constructions import clique_hypergraph, enumerate_cliques
 from .hypergraph import EdgeColoring, KUniformHypergraph
 
 TRASH_FULL = "TrashFull"
@@ -104,14 +104,14 @@ class CliqueStatsReport:
 
 def clique_stats(
     g: KUniformHypergraph,
-    k: int,
+    cliques: KUniformHypergraph,
     a_set: Iterable[int] = (),
     b_family: Iterable[Iterable[int]] = (),
     c_set: Iterable[int] = (),
     d: Optional[float] = None,
 ) -> CliqueStatsReport:
     """Exact clique counts on a graph plus the completion statistics for a
-    disjoint family of (k-1)-cliques.
+    disjoint family of (k-1)-cliques, read off cliques = clique_hypergraph(g, k).
 
     x counts k-cliques made of a family member plus an outside vertex, y
     those completed inside A or the family's own vertices, z those meeting
@@ -120,6 +120,9 @@ def clique_stats(
     """
     if g.k != 2:
         raise ValueError("clique statistics are defined on graphs (k=2)")
+    if cliques.n != g.n:
+        raise ValueError(f"the clique host has {cliques.n} vertices, the graph {g.n}")
+    k = cliques.k
     a = frozenset(a_set)
     c = frozenset(c_set)
     family = [frozenset(b) for b in b_family]
@@ -135,30 +138,27 @@ def clique_stats(
     if a & union_b:
         raise ValueError("A must be disjoint from the family's vertices")
 
-    k_cliques = enumerate_cliques(g, k)
     t_ell = {ell: len(enumerate_cliques(g, ell)) for ell in range(1, k)}
-    t_ell[k] = len(k_cliques)
-    deg_k = [0] * g.n
-    for q in k_cliques:
-        for v in q:
-            deg_k[v] += 1
+    t_ell[k] = cliques.num_edges
 
+    # the k-cliques through member b are b plus a common neighbour of b's
+    # vertices; for k = 2 an edge joining two members counts for the first
     inside = a | union_b
-    x = y = z = 0
-    for q in k_cliques:
-        if not c.isdisjoint(q):
-            z += 1
-        member = next((b for b in family if b.issubset(q)), None)
-        if member is not None:
-            (w,) = set(q) - member
-            if w in inside:
-                y += 1
-            else:
-                x += 1
+    x = y = 0
+    earlier: set[int] = set()
+    for b in family:
+        common = set.intersection(*(set(g.neighbors[v]) for v in b))
+        if k == 2:
+            common -= earlier
+            earlier |= b
+        completed = len(common & inside)
+        y += completed
+        x += len(common) - completed
+    z = sum(1 for q in cliques.edges if not c.isdisjoint(q)) if c else 0
     return CliqueStatsReport(
         t_ell=t_ell,
-        deg_k=deg_k,
-        t_k=len(k_cliques),
+        deg_k=cliques.degrees(),
+        t_k=cliques.num_edges,
         x_ab=x,
         y_ab=y,
         z_c=z,
@@ -228,8 +228,8 @@ def property_check(
     if c is None:
         c = 3.0 ** (-3 * k)
     rng = random.Random(seed)
-    stats0 = clique_stats(g, k, d=d)
-    t_k = stats0.t_k
+    cliques = clique_hypergraph(g, k)
+    t_k = cliques.num_edges
     km1 = enumerate_cliques(g, k - 1)
 
     family_budget = max(1, math.floor(c * g.n))
@@ -254,7 +254,7 @@ def property_check(
         outside = [v for v in range(g.n) if v not in used]
         a_size = min(a_budget, len(outside))
         a_set = tuple(sorted(rng.sample(outside, a_size))) if a_size else ()
-        st = clique_stats(g, k, a_set, family, greedy_c, d=d)
+        st = clique_stats(g, cliques, a_set, family, greedy_c, d=d)
         samples.append(
             PropertySample(
                 a_set=a_set,

@@ -378,7 +378,7 @@ def test_criterion_09_accounting_identities():
         # exact clique statistics against the all-subsets oracle
         for seed in range(5):
             g = gnp(GnpParams(n=12 + seed, p=0.5, seed=seed))
-            assert clique_stats(g, 3).t_k == _naive_clique_stats(g, 3)
+            assert clique_stats(g, clique_hypergraph(g, 3)).t_k == _naive_clique_stats(g, 3)
 
     _line(9, "iterated procedure identities on 20 runs; clique-stats oracle", body)
 

@@ -1,9 +1,10 @@
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramseyforge.constructions import clique
+from ramseyforge.constructions import clique, disjoint_union
 from ramseyforge.errors import BudgetExceededError
 from ramseyforge.hypergraph import (
     BLUE,
@@ -14,7 +15,6 @@ from ramseyforge.hypergraph import (
     automorphism_count,
     find_isomorphism,
     independence_number,
-    independence_number_bruteforce,
     opposite,
 )
 
@@ -49,6 +49,83 @@ def test_validation_rejects_bad_edges():
         KUniformHypergraph(3, 4, ((0, 0, 2),))  # repeated vertex
     with pytest.raises(ValueError):
         KUniformHypergraph(3, 4, ((0, 2, 1),))  # unsorted edge
+    with pytest.raises(ValueError):
+        KUniformHypergraph(3, 4, ((-1, 0, 1),))  # negative vertex
+    with pytest.raises(ValueError):
+        KUniformHypergraph(3, 4, ([0, 1, 2],))  # a list, not a tuple
+    with pytest.raises(ValueError):
+        KUniformHypergraph(3, 5, ((0, 1, 2), (0, 1, 3), (1, 2)))  # short edge, not first
+    with pytest.raises(ValueError):
+        KUniformHypergraph(3, 6, ((0, 1, 2), (0, 1, 3), (1, 2, 3), (3, 4, 5), (3, 4, 5)))
+
+
+def _edge_loop_validation(k, n, edges):
+    """Reference: the edge invariants checked by a plain loop, one edge at a time."""
+    prev = None
+    for e in edges:
+        increasing = isinstance(e, tuple) and all(map(operator.lt, e, e[1:]))
+        if len(e) != k or not increasing:
+            raise ValueError(f"edge {e} is not a strictly increasing {k}-tuple")
+        if e[0] < 0 or e[-1] >= n:
+            raise ValueError(f"edge {e} out of range for n={n}")
+        if prev is not None and e <= prev:
+            raise ValueError("edge list is not strictly increasing")
+        prev = e
+
+
+def _outcome(check):
+    try:
+        check()
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_validation_accepts_what_the_edge_loop_accepts(data):
+    # a sorted sample of the valid edges (short lists take the edge loop,
+    # long ones the whole-list passes), then up to two possibly malformed
+    # edges inserted anywhere
+    k = data.draw(st.sampled_from((2, 3)))
+    n = data.draw(st.integers(0, 9))
+    valid = list(itertools.combinations(range(n), k))
+    size = data.draw(st.integers(0, len(valid)))
+    edges = sorted(data.draw(st.permutations(valid))[:size])
+    vertex = st.integers(-1, n)
+    raw = st.one_of(
+        st.lists(vertex, min_size=1, max_size=k + 1).map(tuple),
+        st.lists(vertex, min_size=k, max_size=k),
+    )
+    for _ in range(data.draw(st.integers(0, 2))):
+        edges.insert(data.draw(st.integers(0, len(edges))), data.draw(raw))
+    edges = tuple(edges)
+    assert _outcome(lambda: KUniformHypergraph(k, n, edges)) == _outcome(
+        lambda: _edge_loop_validation(k, n, edges)
+    )
+
+
+_K7_3 = tuple(itertools.combinations(range(7), 3))  # 35 edges: the whole-list path
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        ((-1, 0, 1),) + _K7_3[1:],  # negative vertex, first edge
+        _K7_3[:-1] + ((4, 5, 7),),  # vertex n, last edge
+        _K7_3[:20] + ([1, 3, 4],) + _K7_3[21:],  # a list edge
+        _K7_3[:20] + ((1, 3),) + _K7_3[21:],  # short edge, not first
+        _K7_3 + ((4, 5, 6, 7),),  # long edge, last
+        _K7_3[:22] + ((1, 4, 4),) + _K7_3[23:],  # repeated vertex, in order
+        tuple(map(list, _K7_3)),  # every edge a list
+        _K7_3 + ((4, 5, 6),),  # duplicate, last
+        _K7_3[:20] + (_K7_3[21], _K7_3[20]) + _K7_3[22:],  # two edges swapped
+    ],
+)
+def test_validation_names_one_defect_in_a_long_list(edges):
+    want = _outcome(lambda: _edge_loop_validation(3, 7, edges))
+    assert want is not None and want[0] is ValueError
+    assert _outcome(lambda: KUniformHypergraph(3, 7, edges)) == want
 
 
 def test_edge_sets_built_on_first_use():
@@ -99,6 +176,11 @@ def test_coloring_basics():
         EdgeColoring(h, (RED, BLUE))
     with pytest.raises(ValueError):
         EdgeColoring(h, (RED, BLUE, "G"))
+    k4 = clique(2, 4)
+    with pytest.raises(ValueError, match="bad color 'r'"):
+        EdgeColoring(k4, (RED, BLUE, RED, BLUE, RED, "r"))
+    with pytest.raises(ValueError, match=r"bad color \['R'\]"):
+        EdgeColoring(k4, (RED, BLUE, RED, BLUE, RED, [RED]))
 
 
 def test_independence_number_known_values():
@@ -123,10 +205,52 @@ def test_neighbors_match_edges(h):
         assert h.neighbors[v] == tuple(want)
 
 
+def independence_number_bruteforce(h):
+    """Exhaustive subset enumeration; oracle for small n only."""
+    edge_sets = h.edge_sets
+    for size in range(h.n, -1, -1):
+        for s in itertools.combinations(range(h.n), size):
+            ss = set(s)
+            if not any(es <= ss for es in edge_sets):
+                return size
+    return 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_hypergraphs())
 def test_independence_matches_bruteforce(h):
     assert independence_number(h) == independence_number_bruteforce(h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from((2, 3)).flatmap(
+        lambda k: st.lists(small_hypergraphs(k, min_n=k, max_n=5), min_size=2, max_size=3)
+    ),
+    st.integers(0, 3),
+)
+def test_independence_sums_over_components(parts, isolated):
+    k = parts[0].k
+    h = disjoint_union(parts + [KUniformHypergraph(k, isolated, ())])
+    assert independence_number(h) == independence_number_bruteforce(h)
+
+
+def test_independence_budget_is_shared_by_components():
+    edge = clique(2, 2)
+    two_edges = disjoint_union([edge, edge])
+    assert independence_number(two_edges) == 2
+    with pytest.raises(BudgetExceededError):
+        independence_number(two_edges, node_cap=1)
+    # the least cap one component fits in is too small for two of them
+    cap = 1
+    while True:
+        try:
+            independence_number(edge, node_cap=cap)
+            break
+        except BudgetExceededError:
+            cap += 1
+    with pytest.raises(BudgetExceededError):
+        independence_number(two_edges, node_cap=cap)
 
 
 def test_isomorphism_positive_and_negative():

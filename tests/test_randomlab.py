@@ -5,6 +5,7 @@ from dataclasses import fields
 
 import pytest
 
+from ramseyforge import randomlab
 from ramseyforge.constructions import clique_hypergraph
 from ramseyforge.hypergraph import BLUE, RED, EdgeColoring, KUniformHypergraph
 from ramseyforge.randomlab import (
@@ -91,7 +92,7 @@ def test_clique_stats_no_cliques():
     c5 = KUniformHypergraph.from_edges(
         2, 5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
     )
-    st = clique_stats(c5, 3)
+    st = clique_stats(c5, clique_hypergraph(c5, 3))
     assert st.t_k == 0 and st.x_ab == 0 and st.y_ab == 0 and st.z_c == 0
     assert st.t_ell == {1: 5, 2: 5, 3: 0}
 
@@ -118,7 +119,7 @@ def test_clique_stats_matches_naive_oracle():
             outside = [v for v in range(n) if v not in used]
             a_set = rng.sample(outside, min(2, len(outside)))
             c_set = rng.sample(range(n), 3)
-            st = clique_stats(g, k, a_set, family, c_set)
+            st = clique_stats(g, clique_hypergraph(g, k), a_set, family, c_set)
             t_ell, deg_k, t_k, x, y, z = naive_clique_stats(g, k, a_set, family, c_set)
             assert st.t_ell == t_ell and st.deg_k == deg_k and st.t_k == t_k
             assert (st.x_ab, st.y_ab, st.z_c) == (x, y, z)
@@ -133,15 +134,20 @@ def test_clique_stats_matches_naive_oracle():
 
 def test_clique_stats_validation():
     g = gnp(GnpParams(n=8, p=0.9, seed=1))
+    triangles = clique_hypergraph(g, 3)
     with pytest.raises(ValueError):
-        clique_stats(g, 3, b_family=[(0, 1), (1, 2)])  # overlap
+        clique_stats(g, triangles, b_family=[(0, 1), (1, 2)])  # overlap
     with pytest.raises(ValueError):
-        clique_stats(g, 3, a_set=(0,), b_family=[(0, 1)])  # A meets family
+        clique_stats(g, triangles, a_set=(0,), b_family=[(0, 1)])  # A meets family
     with pytest.raises(ValueError):
-        clique_stats(g, 3, b_family=[(0, 1, 2)])  # wrong size
+        clique_stats(g, triangles, b_family=[(0, 1, 2)])  # wrong size
     sparse = KUniformHypergraph.from_edges(2, 4, [(0, 1)])
     with pytest.raises(ValueError):
-        clique_stats(sparse, 3, b_family=[(2, 3)])  # not a clique
+        clique_stats(sparse, clique_hypergraph(sparse, 3), b_family=[(2, 3)])  # not a clique
+    with pytest.raises(ValueError):
+        clique_stats(sparse, triangles)  # cliques of another graph: 8 vertices, not 4
+    with pytest.raises(ValueError):
+        clique_stats(triangles, triangles)  # not a graph
 
 
 def test_property_check_runs():
@@ -150,6 +156,21 @@ def test_property_check_runs():
     assert len(rep.samples) == 6
     assert 0.0 <= rep.ratio_pass_fraction <= 1.0
     assert rep.t_k_bound is not None
+
+
+def test_property_check_builds_the_clique_host_once(monkeypatch):
+    calls = []
+
+    def counting(g, k):
+        calls.append(k)
+        return clique_hypergraph(g, k)
+
+    monkeypatch.setattr(randomlab, "clique_hypergraph", counting)
+    g = gnp(GnpParams(n=15, p=0.5, seed=3))
+    rep = property_check(g, 3, c=0.15, trials=6, seed=0, d=1.0)
+    assert len(rep.samples) == 6
+    assert calls == [3]
+    assert rep.t_k == clique_hypergraph(g, 3).num_edges
 
 
 def make_host_and_coloring(n, p, seed, colorseed):
