@@ -38,16 +38,21 @@ class SizeRamseyBound:
             raise ValueError("lower bound exceeds upper bound")
 
 
+def _clique_hosts(pattern: KUniformHypergraph, cap: int) -> Iterator[KUniformHypergraph]:
+    """The complete k-graphs on max(n_G, k) .. cap vertices: the Ramsey ladder."""
+    for n in range(max(pattern.n, pattern.k), cap + 1):
+        yield clique(pattern.k, n)
+
+
 def ramsey_number_small(
     pattern: KUniformHypergraph, cap: int, node_cap: int = 100_000_000
 ) -> Optional[int]:
     """Least N <= cap with complete-host arrowing, or None (not found or
     budget exhausted; the two are deliberately not distinguished here)."""
-    start = max(pattern.n, pattern.k)
-    for n in range(start, cap + 1):
-        verdict = arrows(clique(pattern.k, n), pattern, node_cap)
+    for host in _clique_hosts(pattern, cap):
+        verdict = arrows(host, pattern, node_cap)
         if verdict.result == ArrowResult.ARROWS:
-            return n
+            return host.n
         if verdict.result == ArrowResult.UNKNOWN:
             return None
     return None
@@ -75,101 +80,90 @@ def size_ramsey_upper(
 ) -> SizeRamseyBound:
     """Best verified upper bound over the requested host strategies.
 
-    Hosts with more than max_host_edges edges are skipped (the arrow
-    decision is exhaustive).  When no strategy verifies, the bound carries
-    the lower bound only.
+    Each strategy is a stream of hosts, taken in the order clique, blow-up,
+    Steiner, random.  The arrow decision is exhaustive, so a stream ends at
+    its first host over max_host_edges, before any search: clique and
+    blow-up hosts grow along their ladders, a greedy Steiner packing on more
+    vertices is seldom smaller, and random hosts are drawn within the cap.
+    A host with no fewer edges than the best so far is skipped, and every
+    other distinct host is decided once.  When no strategy verifies, the
+    bound carries the lower bound only.
     """
     unknown = [s for s in strategies if s not in ALL_STRATEGIES]
     if unknown:
         raise ValueError(f"unknown strategies: {unknown}")
     _require_edges(pattern)
+    if ramsey_cap < 0 or max_host_edges < 0:
+        raise ValueError(
+            f"caps must be non-negative, got ramsey_cap={ramsey_cap}, "
+            f"max_host_edges={max_host_edges}"
+        )
     lower = pattern.num_edges
+    if lower > max_host_edges:
+        # a host with fewer edges than the pattern holds no copy of it
+        return SizeRamseyBound(pattern, lower, None, None)
     best: Optional[KUniformHypergraph] = None
     methods: dict = {}
-
-    def consider(name: str, host: KUniformHypergraph) -> None:
-        nonlocal best
-        if host.num_edges > max_host_edges:
-            return
-        if best is not None and host.num_edges >= best.num_edges:
-            return
-        verdict = arrows(host, pattern, node_cap)
-        if verdict.result == ArrowResult.ARROWS:
-            methods[name] = host.num_edges
-            best = host
-
-    if "clique-host" in strategies:
-        r = ramsey_number_small(pattern, ramsey_cap, node_cap)
-        if r is not None:
-            consider("clique-host", clique(pattern.k, r))
-
-    if "blowup-host" in strategies:
-        for host in _blowup_hosts(pattern, ramsey_cap, node_cap):
-            consider("blowup-host", host)
-
-    if "steiner-host" in strategies:
-        for host in _steiner_hosts(pattern, max_host_edges, seed):
-            consider("steiner-host", host)
-
-    if "random-host" in strategies:
-        for host in _random_hosts(pattern, max_host_edges, seed):
-            consider("random-host", host)
-
-    if best is not None:
-        _reverify(best, pattern, node_cap)
-        upper = best.num_edges
-        if upper < lower:
-            # a verified host can't beat the |E(pattern)| floor
-            raise AssertionError("verified upper bound below the edge-count floor")
-        return SizeRamseyBound(pattern, lower, upper, best, methods=methods)
-    return SizeRamseyBound(pattern, lower, None, None, methods=methods)
+    tried: set[KUniformHypergraph] = set()
+    streams = (
+        ("clique-host", _clique_hosts(pattern, ramsey_cap)),
+        ("blowup-host", _blowup_hosts(pattern, ramsey_cap)),
+        ("steiner-host", _steiner_hosts(pattern, seed)),
+        ("random-host", _random_hosts(pattern, max_host_edges, seed)),
+    )
+    for name, hosts in streams:
+        if name not in strategies:
+            continue
+        for host in hosts:
+            if host.num_edges > max_host_edges:
+                break
+            if (best is not None and host.num_edges >= best.num_edges) or host in tried:
+                continue
+            tried.add(host)
+            if arrows(host, pattern, node_cap).result == ArrowResult.ARROWS:
+                methods[name] = host.num_edges
+                best = host
+    if best is None:
+        return SizeRamseyBound(pattern, lower, None, None, methods=methods)
+    _reverify(best, pattern, node_cap)
+    if best.num_edges < lower:
+        # a verified host can't beat the |E(pattern)| floor
+        raise AssertionError("verified upper bound below the edge-count floor")
+    return SizeRamseyBound(pattern, lower, best.num_edges, best, methods=methods)
 
 
-def _detect_ell_path(pattern: KUniformHypergraph) -> Optional[tuple[int, int]]:
-    """(ell, n) such that pattern is isomorphic to the ell-path, or None."""
+def _detect_ell_path(pattern: KUniformHypergraph) -> Optional[int]:
+    """ell such that pattern is isomorphic to the ell-path on its vertices, or None."""
     k = pattern.k
     for ell in range(1, k):
-        if (pattern.n - ell) % (k - ell):
-            continue
-        if pattern.n < k:
+        if pattern.n < k or (pattern.n - ell) % (k - ell):
             continue
         candidate = ell_path(k, ell, pattern.n)
         if candidate.num_edges == pattern.num_edges and are_isomorphic(
             pattern, candidate
         ):
-            return ell, pattern.n
+            return ell
     return None
 
 
-def _blowup_hosts(
-    pattern: KUniformHypergraph, ramsey_cap: int, node_cap: int
-) -> Iterator[KUniformHypergraph]:
-    detected = _detect_ell_path(pattern)
-    if detected is None:
+def _blowup_hosts(pattern: KUniformHypergraph, ramsey_cap: int) -> Iterator[KUniformHypergraph]:
+    ell = _detect_ell_path(pattern)
+    if ell is None or ell > pattern.k // 2:
         return
-    ell, _ = detected
-    if ell > pattern.k // 2:
-        return
-    # monochromatic graph paths with the same edge count lift to ell-paths
-    graph_path = ell_path(2, 1, pattern.num_edges + 1)
-    r = ramsey_number_small(graph_path, ramsey_cap, node_cap)
-    if r is None:
-        return
-    yield blowup_path_host(clique(2, r), pattern.k, ell)
+    # the blow-up of K_n holds a monochromatic ell-path exactly when K_n holds
+    # a monochromatic graph path with the same edge count, so walk the graph
+    # path's Ramsey ladder
+    for n in range(pattern.num_edges + 1, ramsey_cap + 1):
+        yield blowup_path_host(clique(2, n), pattern.k, ell)
 
 
-def _steiner_hosts(
-    pattern: KUniformHypergraph, max_host_edges: int, seed: int
-) -> Iterator[KUniformHypergraph]:
+def _steiner_hosts(pattern: KUniformHypergraph, seed: int) -> Iterator[KUniformHypergraph]:
     k = pattern.k
     for ell in range(1, k):
         if find_ell_tree_order(pattern, ell) is None:
             continue
         for big_n in range(k, 3 * pattern.n + 2):
-            result = greedy_partial_steiner(SteinerParams(ell + 1, k, big_n, seed))
-            if result.hypergraph.num_edges > max_host_edges:
-                break
-            yield result.hypergraph
+            yield greedy_partial_steiner(SteinerParams(ell + 1, k, big_n, seed)).hypergraph
         break  # smallest workable ell only
 
 

@@ -151,6 +151,16 @@ def test_size_ramsey_commands(tmp_path):
                  "--vcap", "4", "--ecap", "1000000"]) == 2
 
 
+def test_size_ramsey_upper_pattern_over_the_edge_cap(tmp_path, capsys):
+    # no host with at most 5 edges holds the 7-edge path: Unknown, not a crash
+    p8 = write_hg(tmp_path / "p8.json", ell_path(2, 1, 8))
+    rep = tmp_path / "sr.json"
+    assert main(["size-ramsey", "upper", "--pattern", p8, "--max-host-edges", "5",
+                 "--strategies", "random-host", "--out", str(rep)]) == 2
+    assert load(rep)["upper"] is None and load(rep)["lower"] == 7
+    assert capsys.readouterr().err == ""
+
+
 def test_size_ramsey_exact_budget_exit(tmp_path, capsys):
     # every host that arrows K1,3 within these caps needs 3 or more nodes
     star = write_hg(tmp_path / "star.json",
@@ -361,6 +371,8 @@ def test_fuzzed_input_files_exit_cleanly(tmp_path, capsys, host, pattern, colori
     ["randomlab", "pipeline", "--n", "0", "--d", "1", "--m", "2"],
     ["size-ramsey", "exact", "--pattern", "K3", "--vcap", "-3"],
     ["size-ramsey", "exact", "--pattern", "K3", "--ecap", "-3"],
+    ["size-ramsey", "upper", "--pattern", "K3", "--ramsey-cap", "-3"],
+    ["size-ramsey", "upper", "--pattern", "K3", "--max-host-edges", "-3"],
 ])
 def test_bad_numbers_exit_with_one_line(tmp_path, capsys, argv):
     k3 = write_hg(tmp_path / "k3.json", clique(2, 3))

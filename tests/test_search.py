@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -7,8 +8,8 @@ import networkx as nx
 import pytest
 
 from ramseyforge import search
-from ramseyforge.arrow import ArrowResult, arrows
-from ramseyforge.constructions import clique, ell_path
+from ramseyforge.arrow import ArrowResult, ArrowVerdict, arrows
+from ramseyforge.constructions import blowup_path_host, clique, ell_path
 from ramseyforge.errors import BudgetExceededError, CapsTooSmallError
 from ramseyforge.hypergraph import KUniformHypergraph, are_isomorphic
 from ramseyforge.search import (
@@ -52,6 +53,115 @@ def test_size_ramsey_upper_witness_reverifies():
     assert bound.upper is not None
     v = arrows(bound.witness_host, p3)
     assert v.result == ArrowResult.ARROWS
+
+
+def test_size_ramsey_upper_pattern_over_the_edge_cap():
+    # no host within the cap holds a copy: lower bound only, for every strategy
+    p8 = ell_path(2, 1, 8)
+    for strategies in (("random-host",), search.ALL_STRATEGIES):
+        bound = size_ramsey_upper(p8, strategies, max_host_edges=5)
+        assert (bound.lower, bound.upper, bound.witness_host) == (7, None, None)
+
+
+@pytest.mark.parametrize("caps, named", [
+    ({"ramsey_cap": -1}, "ramsey_cap=-1"),
+    ({"max_host_edges": -1}, "max_host_edges=-1"),
+])
+def test_size_ramsey_upper_negative_caps(caps, named):
+    with pytest.raises(ValueError, match=named):
+        size_ramsey_upper(clique(2, 3), **caps)
+
+
+@pytest.mark.parametrize("k, ell, n", [
+    (3, 1, 5), (3, 1, 7), (3, 1, 9), (4, 1, 7), (4, 1, 10),
+    (4, 2, 6), (4, 2, 8), (2, 1, 4), (2, 1, 6),
+])
+def test_blowup_of_clique_arrows_as_the_clique_arrows_the_graph_path(k, ell, n):
+    # the blow-up host stream walks the graph path's Ramsey ladder
+    pattern = ell_path(k, ell, n)
+    first = next(
+        (big_n for big_n in range(2, 10)
+         if arrows(blowup_path_host(clique(2, big_n), k, ell), pattern).result
+         == ArrowResult.ARROWS),
+        None,
+    )
+    graph_path = ell_path(2, 1, pattern.num_edges + 1)
+    assert first is not None and first == ramsey_number_small(graph_path, 9)
+
+
+def _recording_arrows(monkeypatch, max_edges=None):
+    """Count each host search.arrows decides; raise on one over max_edges."""
+    decided = collections.Counter()
+    real_arrows = search.arrows
+
+    def recorder(host, *args):
+        if max_edges is not None and host.num_edges > max_edges:
+            raise AssertionError(f"decided a host with {host.num_edges} edges")
+        decided[host] += 1
+        return real_arrows(host, *args)
+
+    monkeypatch.setattr(search, "arrows", recorder)
+    return decided
+
+
+@pytest.mark.parametrize("pattern, first_over", [(clique(2, 4), 7), (ell_path(2, 1, 8), 8)])
+def test_size_ramsey_upper_searches_no_host_over_the_edge_cap(monkeypatch, pattern, first_over):
+    # K7 is the first clique with more than 18 edges; the clique and blow-up
+    # streams of the 7-edge path start at K8
+    decided = _recording_arrows(monkeypatch, max_edges=18)
+    built = []
+    real_clique = search.clique
+    monkeypatch.setattr(search, "clique", lambda k, n: built.append(n) or real_clique(k, n))
+    bound = size_ramsey_upper(pattern, ramsey_cap=12)
+    assert (bound.upper, bound.witness_host, bound.methods) == (None, None, {})
+    assert decided
+    # each stream ends at its first host over the cap
+    assert max(built) == first_over
+
+
+def test_size_ramsey_upper_goes_past_an_unknown_host(monkeypatch):
+    # an Unknown verdict on K6 does not end the clique stream: K7 is decided
+    # next, and re-verified as the witness
+    decided = []
+    real_arrows = search.arrows
+
+    def unknown_on_k6(host, *args):
+        decided.append(host.n)
+        if host == clique(2, 6):
+            return ArrowVerdict(ArrowResult.UNKNOWN, None, 0)
+        return real_arrows(host, *args)
+
+    monkeypatch.setattr(search, "arrows", unknown_on_k6)
+    bound = size_ramsey_upper(clique(2, 3), ("clique-host",), max_host_edges=21)
+    assert bound.upper == 21 and bound.witness_host == clique(2, 7)
+    assert bound.methods == {"clique-host": 21}
+    assert decided == [3, 4, 5, 6, 7, 7]
+
+
+_K6_EDGES = clique(2, 6).edges
+
+
+@pytest.mark.parametrize("pattern, upper, methods, witness", [
+    (clique(2, 3), 15, {"clique-host": 15}, _K6_EDGES),
+    (KUniformHypergraph.from_edges(2, 4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+     15, {"clique-host": 15}, _K6_EDGES),
+    (ell_path(2, 1, 4), 8, {"clique-host": 10, "random-host": 8},
+     ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 5), (3, 4))),
+    (ell_path(2, 1, 5), 13, {"clique-host": 15, "random-host": 13},
+     ((0, 2), (0, 3), (0, 4), (0, 6), (1, 2), (1, 3), (1, 4), (1, 6), (2, 3),
+      (2, 4), (3, 6), (4, 7), (5, 7))),
+    (ell_path(3, 2, 5), 9, {"clique-host": 10, "random-host": 9},
+     ((0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 4), (0, 3, 4), (1, 2, 3), (1, 2, 4),
+      (1, 3, 4), (2, 3, 4))),
+    (ell_path(3, 1, 5), 3, {"clique-host": 10, "blowup-host": 3},
+     ((0, 1, 3), (0, 2, 4), (1, 2, 5))),
+])
+def test_size_ramsey_upper_decides_each_host_once(monkeypatch, pattern, upper, methods, witness):
+    decided = _recording_arrows(monkeypatch)
+    bound = size_ramsey_upper(pattern)
+    assert (bound.upper, bound.methods, bound.witness_host.edges) == (upper, methods, witness)
+    # the witness is decided again, on purpose, by the re-verification
+    assert {h: c for h, c in decided.items() if c > 1} == {bound.witness_host: 2}
 
 
 def test_bound_validation():
