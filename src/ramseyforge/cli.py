@@ -1,6 +1,7 @@
 """Command line front end: seeded, reproducible runs with JSON reports.
 
-Exit codes: 0 success, 1 bad input, 2 budget exhausted / Unknown verdict.
+Exit codes: 0 success, 1 bad input (usage errors too), 2 budget exhausted /
+Unknown verdict.
 Reports embed the tool version, the effective config and the seed; the
 timestamp field is the only part excluded from byte-for-byte determinism.
 """
@@ -14,7 +15,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 from typing import Optional
 
 from . import __version__
@@ -49,13 +50,7 @@ from .hypergraph import (
     independence_number,
 )
 from .embedding import find_copy
-from .randomlab import (
-    AccountingReport,
-    GnpParams,
-    clique_stats,
-    gnp,
-    iterated_procedure,
-)
+from .randomlab import GnpParams, clique_stats, gnp, iterated_procedure
 from .search import (
     ALL_STRATEGIES,
     ramsey_number_small,
@@ -108,6 +103,12 @@ def _write_json(path: Optional[str], payload) -> None:
     else:
         with open(path, "w") as fh:
             fh.write(text + "\n")
+
+
+def _fields_except(record, skip: str) -> dict:
+    """A dataclass record's fields in order, without the one named skip;
+    unlike asdict, the values are not copied."""
+    return {f.name: getattr(record, f.name) for f in fields(record) if f.name != skip}
 
 
 def _report(command: str, config: dict, seed: Optional[int], body: dict) -> dict:
@@ -293,34 +294,13 @@ def _cmd_size_ramsey(args) -> int:
         )
         options = {"strategies": strategies, "ramsey_cap": args.ramsey_cap,
                    "max_host_edges": args.max_host_edges}
-        bound = size_ramsey_upper(
-            pattern,
-            strategies,
-            node_cap=args.budget,
-            ramsey_cap=args.ramsey_cap,
-            max_host_edges=args.max_host_edges,
-            seed=seed,
-        )
+        bound = size_ramsey_upper(pattern, **options, node_cap=args.budget, seed=seed)
     else:
         options = {"vcap": args.vcap, "ecap": args.ecap}
-        bound = size_ramsey_exact_tiny(
-            pattern, vcap=args.vcap, ecap=args.ecap, node_cap=args.budget
-        )
+        bound = size_ramsey_exact_tiny(pattern, **options, node_cap=args.budget)
     config = {"pattern": args.pattern, **options, "budget": args.budget}
-    body = {
-        "lower": bound.lower,
-        "upper": bound.upper,
-        "witness_host": (
-            bound.witness_host.to_dict() if bound.witness_host else None
-        ),
-        "methods": bound.methods,
-        "caps": bound.caps,
-    }
-    report = _report(f"size-ramsey {args.mode}", config, seed, body)
-    _write_json(args.out, report)
-    if args.mode == "upper" and bound.upper is None:
-        return EXIT_BUDGET
-    return EXIT_OK
+    _write_json(args.out, _report(f"size-ramsey {args.mode}", config, seed, asdict(bound)))
+    return EXIT_BUDGET if bound.upper is None else EXIT_OK
 
 
 # -- randomlab ----------------------------------------------------------------
@@ -348,21 +328,8 @@ def _cmd_randomlab(args) -> int:
             "nu": stats.nu,
             "lambda": stats.lam,
         },
-        "rounds": [
-            {
-                "status": r.status,
-                "trash": [list(t) for t in r.trash],
-                "a_set": list(r.a_set),
-                "x": r.x,
-                "y": r.y,
-            }
-            for r in account.rounds
-        ],
-        "accounting": {
-            f.name: getattr(account, f.name)
-            for f in fields(AccountingReport)
-            if f.name != "rounds"
-        },
+        "rounds": [_fields_except(r, "state") for r in account.rounds],
+        "accounting": _fields_except(account, "rounds"),
     }
     config = {
         "n": args.n,
@@ -504,8 +471,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 means an exhausted budget
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
         return args.func(args)
     except BudgetExceededError as exc:

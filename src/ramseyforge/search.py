@@ -7,7 +7,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .arrow import ArrowResult, arrows
 from .constructions import (
@@ -26,7 +26,6 @@ ALL_STRATEGIES = ("clique-host", "steiner-host", "blowup-host", "random-host")
 
 @dataclass
 class SizeRamseyBound:
-    pattern: KUniformHypergraph
     lower: int
     upper: Optional[int]
     witness_host: Optional[KUniformHypergraph]
@@ -44,30 +43,45 @@ def _clique_hosts(pattern: KUniformHypergraph, cap: int) -> Iterator[KUniformHyp
         yield clique(pattern.k, n)
 
 
+def _below_floor(host: KUniformHypergraph, pattern: KUniformHypergraph) -> bool:
+    """A host with fewer edges or vertices than the pattern holds no copy
+    of it: copies are injective on every pattern vertex."""
+    return host.num_edges < pattern.num_edges or host.n < pattern.n
+
+
+def _first_arrowing(
+    hosts: Iterable[KUniformHypergraph], pattern: KUniformHypergraph, node_cap: int
+) -> Optional[KUniformHypergraph]:
+    """The first of hosts that arrows pattern, or None; hosts below the floor
+    are skipped.  An Unknown verdict raises BudgetExceededError: that host
+    might arrow, so no later host can be called the first."""
+    for host in hosts:
+        if _below_floor(host, pattern):
+            continue
+        verdict = arrows(host, pattern, node_cap)
+        if verdict.result == ArrowResult.UNKNOWN:
+            raise BudgetExceededError(
+                f"arrow search budget of {node_cap} nodes exceeded on a host "
+                f"with {host.n} vertices and {host.num_edges} edges"
+            )
+        if verdict.result == ArrowResult.ARROWS:
+            return host
+    return None
+
+
 def ramsey_number_small(
     pattern: KUniformHypergraph, cap: int, node_cap: int = 100_000_000
 ) -> Optional[int]:
-    """Least N <= cap with complete-host arrowing, or None (not found or
-    budget exhausted; the two are deliberately not distinguished here)."""
-    for host in _clique_hosts(pattern, cap):
-        verdict = arrows(host, pattern, node_cap)
-        if verdict.result == ArrowResult.ARROWS:
-            return host.n
-        if verdict.result == ArrowResult.UNKNOWN:
-            return None
-    return None
+    """Least N <= cap with complete-host arrowing, or None when no N <= cap
+    arrows.  Raises BudgetExceededError when the budget runs out first."""
+    host = _first_arrowing(_clique_hosts(pattern, cap), pattern, node_cap)
+    return None if host is None else host.n
 
 
 def _require_edges(pattern: KUniformHypergraph) -> None:
     # an edgeless pattern is arrowed by every host with enough vertices
     if not pattern.edges:
         raise ValueError("size-Ramsey bounds need a pattern with at least one edge")
-
-
-def _reverify(host: KUniformHypergraph, pattern: KUniformHypergraph, node_cap: int):
-    verdict = arrows(host, pattern, node_cap)
-    if verdict.result != ArrowResult.ARROWS:
-        raise AssertionError("witness host failed re-verification")
 
 
 def size_ramsey_upper(
@@ -86,8 +100,8 @@ def size_ramsey_upper(
     blow-up hosts grow along their ladders, a greedy Steiner packing on more
     vertices is seldom smaller, and random hosts are drawn within the cap.
     A host with no fewer edges than the best so far is skipped, and every
-    other distinct host is decided once.  When no strategy verifies, the
-    bound carries the lower bound only.
+    other distinct host above the floor is decided once.  When no strategy
+    verifies, the bound carries the lower bound only.
     """
     unknown = [s for s in strategies if s not in ALL_STRATEGIES]
     if unknown:
@@ -101,7 +115,7 @@ def size_ramsey_upper(
     lower = pattern.num_edges
     if lower > max_host_edges:
         # a host with fewer edges than the pattern holds no copy of it
-        return SizeRamseyBound(pattern, lower, None, None)
+        return SizeRamseyBound(lower, None, None)
     best: Optional[KUniformHypergraph] = None
     methods: dict = {}
     tried: set[KUniformHypergraph] = set()
@@ -117,19 +131,22 @@ def size_ramsey_upper(
         for host in hosts:
             if host.num_edges > max_host_edges:
                 break
-            if (best is not None and host.num_edges >= best.num_edges) or host in tried:
+            if best is not None and host.num_edges >= best.num_edges:
+                continue
+            if host in tried or _below_floor(host, pattern):
                 continue
             tried.add(host)
             if arrows(host, pattern, node_cap).result == ArrowResult.ARROWS:
                 methods[name] = host.num_edges
                 best = host
     if best is None:
-        return SizeRamseyBound(pattern, lower, None, None, methods=methods)
-    _reverify(best, pattern, node_cap)
+        return SizeRamseyBound(lower, None, None, methods=methods)
+    if _first_arrowing((best,), pattern, node_cap) is None:
+        raise AssertionError("witness host failed re-verification")
     if best.num_edges < lower:
         # a verified host can't beat the |E(pattern)| floor
         raise AssertionError("verified upper bound below the edge-count floor")
-    return SizeRamseyBound(pattern, lower, best.num_edges, best, methods=methods)
+    return SizeRamseyBound(lower, best.num_edges, best, methods=methods)
 
 
 def _detect_ell_path(pattern: KUniformHypergraph) -> Optional[int]:
@@ -265,18 +282,8 @@ def size_ramsey_exact_tiny(
         raise ValueError(f"caps must be non-negative, got vcap={vcap}, ecap={ecap}")
     if pattern.n > vcap:
         raise CapsTooSmallError(f"the pattern has more than vcap={vcap} vertices")
-    for host in enumerate_hosts(pattern.k, ecap, vcap):
-        if host.num_edges < pattern.num_edges:
-            continue
-        verdict = arrows(host, pattern, node_cap)
-        if verdict.result == ArrowResult.UNKNOWN:
-            raise BudgetExceededError(
-                f"arrow search budget of {node_cap} nodes exceeded on a "
-                f"host with {host.num_edges} edges"
-            )
-        if verdict.result == ArrowResult.ARROWS:
-            m = host.num_edges
-            return SizeRamseyBound(pattern, m, m, host, caps={"vcap": vcap, "ecap": ecap})
-    raise CapsTooSmallError(
-        f"no arrowing host with <= {ecap} edges on <= {vcap} vertices"
-    )
+    host = _first_arrowing(enumerate_hosts(pattern.k, ecap, vcap), pattern, node_cap)
+    if host is None:
+        raise CapsTooSmallError(f"no arrowing host with <= {ecap} edges on <= {vcap} vertices")
+    m = host.num_edges
+    return SizeRamseyBound(m, m, host, caps={"vcap": vcap, "ecap": ecap})

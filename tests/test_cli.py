@@ -130,6 +130,19 @@ def test_ramsey_command(tmp_path):
     assert load(rep)["result"] == "Unknown"
 
 
+def test_ramsey_budget_exit_names_the_host(tmp_path, capsys):
+    # K5..K7 do not arrow C5, and K8 is not decided within 100 nodes: no
+    # report, which would read as "no clique up to the cap arrows"
+    c5 = write_hg(tmp_path / "c5.json", KUniformHypergraph.from_edges(
+        2, 5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]))
+    rep = tmp_path / "r.json"
+    assert main(["ramsey", "--pattern", c5, "--cap", "9", "--budget", "100",
+                 "--out", str(rep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("budget exhausted:") and "8 vertices and 28 edges" in err
+    assert not rep.exists()
+
+
 def test_size_ramsey_commands(tmp_path):
     k3 = write_hg(tmp_path / "k3.json", clique(2, 3))
     rep = tmp_path / "sr.json"
@@ -188,6 +201,65 @@ def test_size_ramsey_config_records_mode_options(tmp_path):
     assert main(["size-ramsey", "exact", "--pattern", edge, "--vcap", "3",
                  "--ecap", "2", "--budget", "900", "--out", str(rep)]) == 0
     assert load(rep)["config"] == {"pattern": edge, "vcap": 3, "ecap": 2, "budget": 900}
+
+
+def _report_text(path):
+    """A report file's text without its timestamp line."""
+    lines = path.read_text().splitlines(keepends=True)
+    return "".join(line for line in lines if not line.startswith('  "timestamp": '))
+
+
+_P4_WITNESS = [[0, 1], [0, 2], [0, 3], [0, 4], [1, 2], [1, 3], [2, 4]]
+_UPPER_WITNESS = [[0, 3], [0, 4], [2, 3], [2, 4], [2, 6], [3, 6], [4, 6], [5, 6]]
+
+
+def test_report_texts_are_pinned(tmp_path):
+    # the report bodies follow the field order of their records, so a field
+    # moved in a record must show here
+    p4 = write_hg(tmp_path / "p4.json", ell_path(2, 1, 4))
+    budget = 100_000_000
+    expected = {
+        "exact": (["size-ramsey", "exact", "--pattern", p4, "--vcap", "7", "--ecap", "7",
+                   "--seed", "3"], {
+            "version": "0.1.0", "command": "size-ramsey exact",
+            "config": {"pattern": p4, "vcap": 7, "ecap": 7, "budget": budget},
+            "seed": 3, "lower": 7, "upper": 7,
+            "witness_host": {"k": 2, "n": 5, "edges": _P4_WITNESS},
+            "methods": {}, "caps": {"vcap": 7, "ecap": 7},
+        }),
+        "upper": (["size-ramsey", "upper", "--pattern", p4, "--seed", "1"], {
+            "version": "0.1.0", "command": "size-ramsey upper",
+            "config": {"pattern": p4, "strategies": ["clique-host", "steiner-host",
+                                                     "blowup-host", "random-host"],
+                       "ramsey_cap": 8, "max_host_edges": 18, "budget": budget},
+            "seed": 1, "lower": 3, "upper": 8,
+            "witness_host": {"k": 2, "n": 7, "edges": _UPPER_WITNESS},
+            "methods": {"clique-host": 10, "random-host": 8}, "caps": {},
+        }),
+        "randomlab": (["randomlab", "pipeline", "--n", "16", "--p", "0.6", "--m", "4",
+                       "--seed", "1"], {
+            "version": "0.1.0", "command": "randomlab pipeline",
+            "config": {"n": 16, "k": 3, "p": 0.6, "d": None, "m": 4, "coloring": None,
+                       "coloring_scheme": "random"},
+            "seed": 1, "graph_edges": 76,
+            "clique_stats": {"t_ell": {"1": 16, "2": 76, "3": 138}, "t_k": 138,
+                             "deg_k_max": 37, "nu": None, "lambda": None},
+            "rounds": [{"status": "PathFound", "trash": [], "a_set": [0, 1, 12, 14],
+                        "x": 0, "y": 0}],
+            "accounting": {
+                "sought_color": "B", "t_sought": 73, "t_other": 65, "t_k": 138,
+                "sum_x": 0, "sum_y": 0, "z_c": 0, "c_set": [],
+                "found_path": [0, 1, 12, 14], "verdict_sought_bound": None,
+                "verdict_x_bound": True, "max_edge_x_count": 0,
+                "trash_families_disjoint": True, "round_cap": 48,
+                "round_cap_exceeded": False,
+            },
+        }),
+    }
+    for name, (argv, report) in expected.items():
+        out = tmp_path / f"{name}.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert _report_text(out) == json.dumps(report, indent=2) + "\n", name
 
 
 def test_randomlab_pipeline_deterministic(tmp_path):
@@ -380,6 +452,24 @@ def test_bad_numbers_exit_with_one_line(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "out.json")]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["arrows", "--host", "h.json"],
+    ["arrows", "--host", "h.json", "--pattern", "p.json", "--budget", "x"],
+    ["construct", "no-such-kind"],
+    ["no-such-command"],
+    [],
+])
+def test_usage_errors_exit_1(capsys, argv):
+    # argparse's own exit code is 2, which is kept for exhausted budgets
+    assert main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 _HOST_KINDS = ("blowup", "clique-hypergraph")  # these read a --host file

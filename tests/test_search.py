@@ -33,6 +33,17 @@ def test_ramsey_number_known_values():
     assert ramsey_number_small(clique(2, 3), 5) is None
 
 
+def test_ramsey_number_small_budget_is_not_a_miss():
+    # K5..K7 are NotArrows within 100 nodes, and K8 is not decided within
+    # them: the search stops there instead of reading on as "not found"
+    c5 = KUniformHypergraph.from_edges(2, 5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    for n in (5, 6, 7):
+        assert arrows(clique(2, n), c5, 100).result == ArrowResult.NOT_ARROWS
+    with pytest.raises(BudgetExceededError, match="with 8 vertices and 28 edges"):
+        ramsey_number_small(c5, 9, node_cap=100)
+    assert ramsey_number_small(c5, 9) == 9
+
+
 def test_size_ramsey_upper_k3():
     bound = size_ramsey_upper(clique(2, 3))
     assert bound.upper == 15
@@ -166,7 +177,36 @@ def test_size_ramsey_upper_decides_each_host_once(monkeypatch, pattern, upper, m
 
 def test_bound_validation():
     with pytest.raises(ValueError):
-        SizeRamseyBound(clique(2, 3), lower=5, upper=4, witness_host=None)
+        SizeRamseyBound(lower=5, upper=4, witness_host=None)
+
+
+def _below_floor(decided, pattern):
+    """The decided hosts with fewer edges or vertices than the pattern,
+    which hold no copy of it."""
+    return [h for h in decided if h.num_edges < pattern.num_edges or h.n < pattern.n]
+
+
+_STAR3 = KUniformHypergraph.from_edges(2, 4, [(0, 1), (0, 2), (0, 3)])
+
+
+@pytest.mark.parametrize("pattern", [
+    ell_path(2, 1, 4), ell_path(2, 1, 5), ell_path(3, 2, 5), ell_path(3, 1, 5),
+    ell_path(2, 1, 8),
+], ids=["P4", "P5", "tight3", "loose2", "P8"])
+def test_size_ramsey_upper_decides_no_host_below_the_floor(monkeypatch, pattern):
+    # the Steiner stream starts at N = k, below every one of these patterns
+    decided = _recording_arrows(monkeypatch)
+    size_ramsey_upper(pattern)
+    assert decided and _below_floor(decided, pattern) == []
+
+
+@pytest.mark.parametrize("pattern, vcap, ecap, upper", [
+    (ell_path(2, 1, 4), 7, 7, 7), (_STAR3, 6, 12, 5), (ell_path(3, 1, 5), 9, 12, 3),
+], ids=["P4", "K1,3", "loose2"])
+def test_size_ramsey_exact_decides_no_host_below_the_floor(monkeypatch, pattern, vcap, ecap, upper):
+    decided = _recording_arrows(monkeypatch)
+    assert size_ramsey_exact_tiny(pattern, vcap, ecap).upper == upper
+    assert decided and _below_floor(decided, pattern) == []
 
 
 def _classes(hosts, same):

@@ -80,3 +80,12 @@ def test_bench_trace_layers_record_spans(tmp_path):
     t_k = json.loads(out.read_text())["clique_stats"]["t_k"]
     assert t_k > 0
     assert tracer.counts[("constructions.clique_hypergraph", "edges")] == t_k
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("src/ramseyforge/*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # python -O drops assert statements; a check the program relies on
+    # raises AssertionError explicitly
+    tree = ast.parse(path.read_text())
+    found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not found, f"{path.name}: assert statements at lines {found}"
