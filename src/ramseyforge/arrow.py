@@ -10,6 +10,15 @@ the other color and one uncolored edge forces that edge.  It branches on
 the edges in most masks first, fixes the first one red (color-swap
 symmetry) and runs on an explicit stack.  Edges in no copy stay red, and
 every NotArrows certificate is re-checked by the copy search.
+
+On a complete host K_n^(k) the search also uses the vertex symmetry, by
+orbital branching (Ostrowski, Linderoth, Rossi and Smriglio, Math.
+Programming 126, 2011).  Let S be the vertices of the colored edges.
+Every permutation of the vertices that fixes S pointwise fixes each
+colored edge and maps copies to copies, so the uncolored edges f with
+f & S == e & S form one orbit of the edge e.  A node whose orbit has more
+than one edge branches "e red" against "the whole orbit blue": a coloring
+with some edge of the orbit red maps to one with e red.
 """
 
 from __future__ import annotations
@@ -18,7 +27,8 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from math import comb
+from typing import Optional, Sequence
 
 from .constructions import clique
 from .errors import Budget, BudgetExceededError, InvalidBaseColoringError
@@ -61,16 +71,18 @@ def _verify_certificate(
 
 
 def _propagate(
-    colored: list[int], edge: int, color: int, by_edge: dict[int, list[int]]
+    colored: list[int], edges: Sequence[int], color: int, by_edge: dict[int, list[int]]
 ) -> bool:
-    """Give edge the color (0 red, 1 blue) and every color it forces, in place.
+    """Give the uncolored edges the color (0 red, 1 blue) and every color
+    they force, in place.
 
     A mask with no edge of the other color is a conflict once all of its
     edges have this one, and forces its last uncolored edge to the other
     color when exactly one is left.  False on a conflict.
     """
-    colored[color] |= 1 << edge
-    queue = [(edge, color)]
+    for edge in edges:
+        colored[color] |= 1 << edge
+    queue = [(edge, color) for edge in edges]
     while queue:
         edge, color = queue.pop()
         not_mine, other = ~colored[color], colored[1 - color]
@@ -87,7 +99,9 @@ def _propagate(
     return True
 
 
-def _two_color(masks: list[int], budget: Budget) -> Optional[int]:
+def _two_color(
+    masks: list[int], budget: Budget, edge_vertices: Sequence[int] = ()
+) -> Optional[int]:
     """Blue edges of a coloring with no monochromatic mask, or None.
 
     Depth-first search over the edges that lie in some mask, on an
@@ -96,6 +110,11 @@ def _two_color(masks: list[int], budget: Budget) -> Optional[int]:
     red (color-swap symmetry).  Each decision is propagated to a fixed
     point before the next edge is chosen.  budget.spend() runs once per
     decision node.
+
+    edge_vertices, the vertex bitmask of every host edge, is given for a
+    complete host only: then a node whose edge e has a vertex outside the
+    colored edges' vertices S branches "e red" against "every edge f with
+    f & S == e & S blue" (its orbit under the permutations fixing S).
     """
     by_edge: dict[int, list[int]] = {}
     for cm in masks:
@@ -107,15 +126,22 @@ def _two_color(masks: list[int], budget: Budget) -> Optional[int]:
     order = sorted(by_edge, key=lambda e: (-len(by_edge[e]), e))
     if not order:
         return 0
-    # a pending branch: colors so far, the position in order of the edge
-    # branched on, and the color to give it
+    # a pending branch: colors so far, the vertices of the colored edges,
+    # the position in order of the edge branched on, the color to give and
+    # the edges to give it to
     budget.spend()
-    stack = [(0, 0, 0, 0)]
+    stack = [(0, 0, 0, 0, 0, (order[0],))]
     while stack:
-        red, blue, pos, color = stack.pop()
+        red, blue, touched, pos, color, edges = stack.pop()
         colored = [red, blue]
-        if not _propagate(colored, order[pos], color, by_edge):
+        if not _propagate(colored, edges, color, by_edge):
             continue
+        if edge_vertices:
+            new = (colored[0] | colored[1]) ^ (red | blue)
+            while new:
+                low = new & -new
+                touched |= edge_vertices[low.bit_length() - 1]
+                new ^= low
         red, blue = colored
         done = red | blue
         while pos < len(order) and done >> order[pos] & 1:
@@ -123,8 +149,16 @@ def _two_color(masks: list[int], budget: Budget) -> Optional[int]:
         if pos == len(order):
             return blue
         budget.spend()
-        stack.append((red, blue, pos, 1))
-        stack.append((red, blue, pos, 0))
+        edge = order[pos]
+        orbit = (edge,)
+        if edge_vertices and edge_vertices[edge] & ~touched:
+            # every edge meeting S as edge does is uncolored, at pos or later
+            inside = edge_vertices[edge] & touched
+            orbit = tuple(
+                f for f in order[pos:] if edge_vertices[f] & touched == inside
+            )
+        stack.append((red, blue, touched, pos, 1, orbit))
+        stack.append((red, blue, touched, pos, 0, (edge,)))
     return None
 
 
@@ -140,7 +174,10 @@ def arrows(
     node_cap bounds the decision nodes: Budget.spend() runs once per
     decision node, that is each time the search picks an edge to branch
     on, the first edge (fixed red) included; colors forced by propagation
-    cost nothing.  copy_node_cap bounds each copy search, both the one
+    cost nothing.  On a complete host the blue side of a node colors the
+    edge's whole orbit (see the module docstring), so one node stands for
+    every vertex relabelling of its colorings that fixes the colored
+    edges.  copy_node_cap bounds each copy search, both the one
     that builds the masks and the two that verify a certificate; it also
     bounds, counted apart, the orbit searches that build the pattern's
     symmetry-breaking conditions on its first use (see copy_edge_masks).
@@ -157,8 +194,12 @@ def arrows(
         return ArrowVerdict(ArrowResult.ARROWS, None, 0)
 
     budget = Budget(node_cap)
+    edge_vertices = []
+    if host.num_edges == comb(host.n, host.k):
+        # complete: every vertex permutation maps copies to copies
+        edge_vertices = [sum(1 << v for v in e) for e in host.edges]
     try:
-        blue = _two_color(masks, budget)
+        blue = _two_color(masks, budget, edge_vertices)
     except BudgetExceededError:
         return ArrowVerdict(ArrowResult.UNKNOWN, None, budget.used)
     if blue is None:

@@ -48,13 +48,16 @@ def _allowed_edges(
     host: KUniformHypergraph,
     coloring: Optional[EdgeColoring],
     color: Optional[str],
-) -> Collection[frozenset]:
+) -> dict[frozenset, int]:
+    """The host edges a copy may use, each mapped to its bit 1 << index."""
     if color is None:
-        return host.edge_index.keys()
+        return {es: 1 << i for es, i in host.edge_index.items()}
     if coloring is None:
         raise ValueError("a color filter requires a coloring")
     return {
-        es for es, c in zip(host.edge_sets, coloring.colors) if c == color
+        es: 1 << i
+        for i, (es, c) in enumerate(zip(host.edge_sets, coloring.colors))
+        if c == color
     }
 
 
@@ -97,7 +100,8 @@ def enumerate_copies(
     _pins: Optional[Mapping[int, int]] = None,
     _less: Collection[tuple[int, int]] = (),
     _budget: Optional[Budget] = None,
-) -> Iterator[tuple[int, ...]]:
+    _masks: bool = False,
+) -> Iterator[tuple[int, ...] | int]:
     """Yield every injective copy of pattern in host as a mapping tuple.
 
     Deterministic order: candidates are tried in increasing vertex index
@@ -110,7 +114,9 @@ def enumerate_copies(
     pattern order, and keeps only the copies with mapping[v] < mapping[w]:
     w tries only candidates above the images of its pairs, so a violating
     subtree is never entered.  _budget, when given, is spent in place of a
-    fresh Budget(node_cap), so that several searches share one cap.
+    fresh Budget(node_cap), so that several searches share one cap.  _masks
+    yields, in place of each mapping, the bitmask over host edge indices of
+    its image edges, built up in the closing checks.
     """
     if pattern.k != host.k:
         raise ValueError("pattern and host must share the uniformity")
@@ -141,11 +147,13 @@ def enumerate_copies(
     pat_deg = pattern.degrees()
 
     if pattern.n == 0:
-        yield ()
+        yield 0 if _masks else ()
         return
     pins = _pins or {}
     mapping: dict[int, int] = {}
     used: set[int] = set()
+    # image[i]: the bits of the image edges closed before depth i
+    image = [0] * (pattern.n + 1)
     adj = host.neighbors
     everyone = range(host.n)
 
@@ -176,19 +184,26 @@ def enumerate_copies(
             if w in used or host_deg[w] < pat_deg[u]:
                 continue
             mapping[u] = w
-            if all(
-                frozenset(mapping[x] for x in es) in allowed for es in closing[i]
-            ):
+            bits = image[i]
+            for es in closing[i]:
+                bit = allowed.get(frozenset(mapping[x] for x in es))
+                if bit is None:
+                    break
+                bits |= bit
+            else:  # every edge closed here lands on an allowed host edge
                 break
             del mapping[u]
         else:
             stack.pop()
             continue
         used.add(w)
-        if i + 1 == pattern.n:
-            yield tuple(mapping[v] for v in range(pattern.n))
-        else:
+        image[i + 1] = bits
+        if i + 1 < pattern.n:
             stack.append(iter(candidates(i + 1)))
+        elif _masks:
+            yield bits
+        else:
+            yield tuple(mapping[v] for v in range(pattern.n))
 
 
 def find_copy(
@@ -280,14 +295,9 @@ def copy_edge_masks(
     core, less = pattern.copy_core(node_cap)
     if core.num_edges == 0:
         return [0]
-    index = host.edge_index
-    masks = []
-    for mapping in enumerate_copies(core, host, node_cap=node_cap, _less=less):
-        image = mapping.__getitem__
-        # the edges' bits are distinct, so their sum is their union
-        masks.append(sum(1 << index[frozenset(map(image, e))] for e in core.edges))
-    masks.sort()
-    return masks
+    return sorted(
+        enumerate_copies(core, host, node_cap=node_cap, _less=less, _masks=True)
+    )
 
 
 @dataclass(frozen=True)

@@ -105,16 +105,18 @@ def test_uniformity_mismatch():
         arrows(clique(2, 4), clique(3, 4))
 
 
-def test_unknown_on_tiny_budget():
-    v = arrows(clique(2, 6), clique(2, 3), node_cap=3)
-    assert v.result == ArrowResult.UNKNOWN
-
-
 def cycle(n):
     return KUniformHypergraph.from_edges(2, n, [(i, (i + 1) % n) for i in range(n)])
 
 
 K4_MINUS_E = KUniformHypergraph.from_edges(2, 4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+K2_3 = KUniformHypergraph.from_edges(2, 5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
+
+
+def test_unknown_on_tiny_budget():
+    # orbital branching decides K6 -> K3 in 3 nodes; K10 -> K4-e needs more
+    v = arrows(clique(2, 10), K4_MINUS_E, node_cap=3)
+    assert v.result == ArrowResult.UNKNOWN
 
 
 @pytest.mark.parametrize("n, pattern", [(9, cycle(5)), (10, K4_MINUS_E)])
@@ -122,6 +124,52 @@ def test_ramsey_hosts_decided_within_default_cap(n, pattern):
     # R(C5) = 9 and R(K4-e) = 10; the mask-scanning search left K10 -> K4-e
     # Unknown after 3M nodes
     assert arrows(clique(2, n), pattern).result == ArrowResult.ARROWS
+
+
+def plain_host(host):
+    """host plus one isolated vertex: the same edges in the same order, so
+    the same copy masks, but not complete, so no orbital branching."""
+    return KUniformHypergraph.from_edges(host.k, host.n + 1, host.edges)
+
+
+def minus_edges(host, drop):
+    return KUniformHypergraph.from_edges(
+        host.k, host.n, [e for e in host.edges if e not in drop]
+    )
+
+
+@pytest.mark.parametrize("host, pattern, result, nodes", [
+    # complete hosts branch on orbits; the plain search's counts follow
+    (clique(2, 9), cycle(5), ArrowResult.ARROWS, 329),  # 2,942
+    (clique(2, 10), K4_MINUS_E, ArrowResult.ARROWS, 1_406),  # 31,347
+    (clique(2, 8), cycle(6), ArrowResult.ARROWS, 4_983),  # 23,478
+    (clique(2, 9), K2_3, ArrowResult.NOT_ARROWS, 4_297),  # 17,972
+    (clique(2, 10), cycle(7), ArrowResult.NOT_ARROWS, 1_110),  # 1,110
+    # other hosts search node for node as without orbital branching
+    (plain_host(clique(2, 9)), cycle(5), ArrowResult.ARROWS, 2_942),
+    (minus_edges(clique(2, 9), [(0, 1)]), cycle(5), ArrowResult.ARROWS, 3_050),
+    (
+        minus_edges(clique(2, 8), [(0, 1), (2, 3), (4, 5), (6, 7), (0, 2)]),
+        cycle(5),
+        ArrowResult.NOT_ARROWS,
+        17,
+    ),
+], ids=["K9-C5", "K10-K4e", "K8-C6", "K9-K23", "K10-C7", "K9+1-C5", "K9-1-C5", "K8-5-C5"])
+def test_node_counts_are_pinned(host, pattern, result, nodes):
+    v = arrows(host, pattern)
+    assert (v.result, v.nodes) == (result, nodes)
+
+
+def test_k10_k4e_fits_the_frontier_budget():
+    # the node budget of the benchmark's K10-K4e-budget query
+    assert arrows(clique(2, 10), K4_MINUS_E, node_cap=6_000).result == ArrowResult.ARROWS
+
+
+def test_k10_k23_arrows_under_the_default_caps():
+    # R(K2,3) = 10; the plain search was Unknown after 300,000 nodes
+    start = time.perf_counter()
+    assert arrows(clique(2, 10), K2_3).result == ArrowResult.ARROWS
+    assert time.perf_counter() - start < 60
 
 
 def test_propagation_shrinks_the_k8_c5_tree():
@@ -294,6 +342,48 @@ def test_arrows_matches_bruteforce_oracle():
         if v.result == ArrowResult.NOT_ARROWS:
             assert find_copy(pattern, host, v.certificate, RED) is None
             assert find_copy(pattern, host, v.certificate, BLUE) is None
+
+
+def random_pattern(rng, k, max_n):
+    pn = rng.randint(k + 1, min(max_n, k + 3))
+    ppool = list(itertools.combinations(range(pn), k))
+    return KUniformHypergraph.from_edges(
+        k, pn, rng.sample(ppool, rng.randint(2, min(6, len(ppool))))
+    )
+
+
+@pytest.mark.parametrize("host", [
+    clique(2, 4), clique(2, 5), clique(2, 6), clique(3, 4), clique(3, 5),
+], ids=lambda h: f"K{h.n}^{h.k}")
+def test_complete_hosts_match_bruteforce_oracle(host):
+    # the random hosts above are seldom complete, so seldom branch on orbits
+    rng = random.Random(100 * host.n + host.k)
+    for _ in range(12):
+        pattern = random_pattern(rng, host.k, host.n)
+        v = arrows(host, pattern)
+        assert (v.result == ArrowResult.ARROWS) == oracle_arrows(host, pattern), pattern
+        if v.result == ArrowResult.NOT_ARROWS:
+            assert find_copy(pattern, host, v.certificate, RED) is None
+            assert find_copy(pattern, host, v.certificate, BLUE) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_orbital_branching_matches_the_plain_search(data):
+    k = data.draw(st.sampled_from((2, 3)))
+    host = clique(k, data.draw(st.integers(k + 1, 8)))
+    pn = data.draw(st.integers(k, min(host.n, k + 3)))
+    ppool = list(itertools.combinations(range(pn), k))
+    pattern = KUniformHypergraph.from_edges(
+        k, pn, data.draw(st.lists(st.sampled_from(ppool), min_size=1, max_size=5, unique=True))
+    )
+    orbital = arrows(host, pattern)
+    plain = arrows(plain_host(host), pattern)
+    assert orbital.result == plain.result != ArrowResult.UNKNOWN
+    for h, v in ((host, orbital), (plain_host(host), plain)):
+        if v.result == ArrowResult.NOT_ARROWS:
+            assert find_copy(pattern, h, v.certificate, RED) is None
+            assert find_copy(pattern, h, v.certificate, BLUE) is None
 
 
 # -- degree threshold -------------------------------------------------------

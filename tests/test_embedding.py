@@ -165,6 +165,22 @@ def test_orbit_conditions_keep_the_first_map_of_each_copy(pair):
     assert len(set(masks)) == len(masks)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(
+    lambda k: st.tuples(small_k_graphs(k, 5, 4), small_k_graphs(k, 7, 10))
+))
+def test_mask_mode_yields_the_image_bits_of_each_map(pair):
+    pattern, host = pair
+    core, less = pattern.copy_core()
+    index = host.edge_index
+    for conditions in ((), less):
+        want = [
+            sum(1 << index[frozenset(img[v] for v in e)] for e in core.edges)
+            for img in enumerate_copies(core, host, _less=conditions)
+        ]
+        assert list(enumerate_copies(core, host, _less=conditions, _masks=True)) == want
+
+
 def cycle(n):
     return KUniformHypergraph.from_edges(2, n, [(i, (i + 1) % n) for i in range(n)])
 
