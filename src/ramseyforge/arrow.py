@@ -58,18 +58,6 @@ class ArrowVerdict:
     nodes: int
 
 
-def _verify_certificate(
-    host: KUniformHypergraph,
-    pattern: KUniformHypergraph,
-    coloring: EdgeColoring,
-    node_cap: int,
-) -> bool:
-    return (
-        find_copy(pattern, host, coloring, RED, node_cap) is None
-        and find_copy(pattern, host, coloring, BLUE, node_cap) is None
-    )
-
-
 def _propagate(
     colored: list[int], edges: Sequence[int], color: int, by_edge: dict[int, list[int]]
 ) -> bool:
@@ -185,34 +173,27 @@ def arrows(
     """
     if host.k != pattern.k:
         raise ValueError("host and pattern must share the uniformity")
+    budget = Budget(node_cap)
     try:
         masks = copy_edge_masks(pattern, host, copy_node_cap)
-    except BudgetExceededError:
-        return ArrowVerdict(ArrowResult.UNKNOWN, None, 0)
-    if masks and masks[0] == 0:
-        # edgeless pattern embeds regardless of colors
-        return ArrowVerdict(ArrowResult.ARROWS, None, 0)
-
-    budget = Budget(node_cap)
-    edge_vertices = []
-    if host.num_edges == comb(host.n, host.k):
-        # complete: every vertex permutation maps copies to copies
-        edge_vertices = [sum(1 << v for v in e) for e in host.edges]
-    try:
+        if masks and masks[0] == 0:
+            # edgeless pattern embeds regardless of colors
+            return ArrowVerdict(ArrowResult.ARROWS, None, 0)
+        edge_vertices = []
+        if host.num_edges == comb(host.n, host.k):
+            # complete: every vertex permutation maps copies to copies
+            edge_vertices = [sum(1 << v for v in e) for e in host.edges]
         blue = _two_color(masks, budget, edge_vertices)
+        if blue is None:
+            return ArrowVerdict(ArrowResult.ARROWS, None, budget.used)
+        # edges in no copy never decide anything; they stay red
+        colors = tuple(BLUE if blue >> i & 1 else RED for i in range(host.num_edges))
+        cert = EdgeColoring(host, colors)
+        for color in (RED, BLUE):
+            if find_copy(pattern, host, cert, color, copy_node_cap) is not None:
+                raise AssertionError("certificate has a monochromatic copy")
     except BudgetExceededError:
         return ArrowVerdict(ArrowResult.UNKNOWN, None, budget.used)
-    if blue is None:
-        return ArrowVerdict(ArrowResult.ARROWS, None, budget.used)
-    # edges in no copy never decide anything; they stay red
-    colors = tuple(BLUE if blue >> i & 1 else RED for i in range(host.num_edges))
-    cert = EdgeColoring(host, colors)
-    try:
-        verified = _verify_certificate(host, pattern, cert, copy_node_cap)
-    except BudgetExceededError:
-        return ArrowVerdict(ArrowResult.UNKNOWN, None, budget.used)
-    if not verified:
-        raise AssertionError("certificate has a monochromatic copy")
     return ArrowVerdict(ArrowResult.NOT_ARROWS, cert, budget.used)
 
 

@@ -75,14 +75,21 @@ def _resolve_seed(value: Optional[int]) -> int:
     return 0
 
 
-def _load_hypergraph(path: str) -> KUniformHypergraph:
+def _load_json(path: str):
+    """The JSON value in a file; nesting too deep for the decoder is bad input."""
     with open(path) as fh:
-        return KUniformHypergraph.from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def _load_hypergraph(path: str) -> KUniformHypergraph:
+    return KUniformHypergraph.from_dict(_load_json(path))
 
 
 def _load_coloring(path: str, host: KUniformHypergraph) -> EdgeColoring:
-    with open(path) as fh:
-        colors = json.load(fh)
+    colors = _load_json(path)
     if not isinstance(colors, list) or not all(isinstance(c, str) for c in colors):
         raise ValueError(f"{path}: a coloring must be a list of color strings")
     return EdgeColoring.from_list(host, colors)
@@ -230,9 +237,9 @@ def _cmd_embed(args) -> int:
 # -- color ------------------------------------------------------------------
 
 
-def _majority_coloring(host: KUniformHypergraph) -> EdgeColoring:
-    # Red iff the edge puts at least ceil(k/2) vertices in the top-degree half
-    deg = host.degrees()
+def _majority_coloring(host: KUniformHypergraph, deg: list[int]) -> EdgeColoring:
+    # Red iff the edge puts at least ceil(k/2) vertices in the top-degree
+    # half; deg is the host's vertex degrees
     ranked = sorted(range(host.n), key=lambda v: (-deg[v], v))
     top = set(ranked[: host.n // 2])
     need = -(-host.k // 2)
@@ -255,7 +262,7 @@ def _cmd_color(args) -> int:
     if args.scheme == "random":
         coloring = _random_coloring(host, seed)
     elif args.scheme == "majority":
-        coloring = _majority_coloring(host)
+        coloring = _majority_coloring(host, host.degrees())
     elif args.scheme == "degree-threshold":
         if args.n is None:
             raise ValueError("degree-threshold needs --n (target tree order)")
@@ -311,13 +318,13 @@ def _cmd_randomlab(args) -> int:
     params = GnpParams(n=args.n, p=args.p, seed=seed, k=args.k, d=args.d)
     graph = gnp(params)
     host = clique_hypergraph(graph, args.k)
+    stats = clique_stats(graph, host, d=args.d)
     if args.coloring:
         coloring = _load_coloring(args.coloring, host)
     elif args.coloring_scheme == "majority":
-        coloring = _majority_coloring(host)
+        coloring = _majority_coloring(host, stats.deg_k)
     else:
         coloring = _random_coloring(host, seed)
-    stats = clique_stats(graph, host, d=args.d)
     account = iterated_procedure(host, coloring, BLUE, args.m)
     body = {
         "graph_edges": graph.num_edges,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import Budget, ExhaustedPermutationsError, UnreachableOrderError
@@ -105,9 +105,10 @@ def find_ell_tree_order(
 ) -> Optional[list[int]]:
     """An edge ordering witnessing that h is an ell-tree, or None.
 
-    Searches over orderings depth-first (greedy-first tie order); whether a
-    prefix can be extended depends only on the chosen edge set, so failed
-    subsets are memoized.
+    Searches over orderings depth-first on an explicit stack (greedy-first
+    tie order), one budget unit per prefix entered; whether a prefix can be
+    extended depends only on the chosen edge set, so failed subsets are
+    memoized.
     """
     if not 1 <= ell < h.k:
         raise ValueError(f"need 1 <= ell < k, got ell={ell}, k={h.k}")
@@ -117,40 +118,41 @@ def find_ell_tree_order(
     budget = Budget(node_cap)
     edge_sets = h.edge_sets
     failed: set[frozenset] = set()
-
-    def extendable(chosen: list[int], covered: set[int], j: int) -> bool:
-        inter = edge_sets[j] & covered
-        if len(inter) > ell:
-            return False
-        return any(inter <= edge_sets[i] for i in chosen)
-
-    def search(chosen: list[int], covered: set[int]) -> Optional[list[int]]:
+    chosen: list[int] = []
+    covered: set[int] = set()
+    added: list[set[int]] = []  # the vertices each chosen edge added to covered
+    # depth-first search with an explicit stack: stack[d] holds the edges
+    # still to try after the first d chosen ones
+    stack = [iter(range(m))]
+    while stack:
+        j = next(stack[-1], None)
+        if j is None:  # every extension of chosen failed
+            stack.pop()
+            if chosen:
+                failed.add(frozenset(chosen))
+                covered -= added.pop()
+                chosen.pop()
+            continue
+        chosen.append(j)
+        added.append(edge_sets[j] - covered)
+        covered |= added[-1]
         budget.spend()
         if len(chosen) == m:
             return list(chosen)
         key = frozenset(chosen)
         if key in failed:
-            return None
-        rest = [j for j in range(m) if j not in key]
-        candidates = [j for j in rest if extendable(chosen, covered, j)]
-        # prefer high-overlap extensions: they constrain the future least
-        candidates.sort(key=lambda j: (-len(edge_sets[j] & covered), j))
-        for j in candidates:
-            chosen.append(j)
-            added = edge_sets[j] - covered
-            covered |= added
-            result = search(chosen, covered)
-            if result is not None:
-                return result
-            covered -= added
+            covered -= added.pop()
             chosen.pop()
-        failed.add(key)
-        return None
-
-    for first in range(m):
-        result = search([first], set(edge_sets[first]))
-        if result is not None:
-            return result
+            continue
+        candidates = []
+        for i in range(m):
+            if i in key:
+                continue
+            inter = edge_sets[i] & covered
+            if len(inter) <= ell and any(inter <= edge_sets[c] for c in chosen):
+                candidates.append((-len(inter), i))
+        # prefer high-overlap extensions: they constrain the future least
+        stack.append(iter([i for _, i in sorted(candidates)]))
     return None
 
 
@@ -294,7 +296,6 @@ class SteinerParams:
 class SteinerResult:
     hypergraph: KUniformHypergraph
     density: float  # |E| / (C(N,t)/C(k,t)), measured, not asserted
-    params: SteinerParams = field(repr=False, default=None)
 
 
 def greedy_partial_steiner(params: SteinerParams) -> SteinerResult:
@@ -305,7 +306,7 @@ def greedy_partial_steiner(params: SteinerParams) -> SteinerResult:
     t, k, N = params.t, params.k, params.N
     if t == k:
         h = clique(k, N)
-        return SteinerResult(h, 1.0, params)
+        return SteinerResult(h, 1.0)
     rng = random.Random(params.seed)
     candidates = list(itertools.combinations(range(N), k))
     rng.shuffle(candidates)
@@ -319,7 +320,7 @@ def greedy_partial_steiner(params: SteinerParams) -> SteinerResult:
         used_t.update(subs)
     h = KUniformHypergraph.from_edges(k, N, edges)
     ceiling = math.comb(N, t) / math.comb(k, t)
-    return SteinerResult(h, len(edges) / ceiling, params)
+    return SteinerResult(h, len(edges) / ceiling)
 
 
 def clique_hypergraph(g: KUniformHypergraph, k: int) -> KUniformHypergraph:

@@ -24,8 +24,8 @@ class InvalidBaseColoringError(ValueError):
 class Budget:
     """Mutable countdown of search-tree nodes.
 
-    spend() raises BudgetExceededError once the cap is crossed, so deep
-    recursions abort instead of running unbounded.
+    spend() raises BudgetExceededError once the cap is crossed, so a
+    search aborts instead of running unbounded.
     """
 
     __slots__ = ("cap", "used")

@@ -286,29 +286,36 @@ def independence_number(h: KUniformHypergraph, node_cap: int = 2_000_000) -> int
 
 
 def _independence_search(h: KUniformHypergraph, budget: Budget) -> int:
-    """Branch and bound for independence_number, one node per budget unit."""
+    """Branch and bound for independence_number, one node per budget unit.
+
+    Depth-first on an explicit stack of (excluded, kept) vertex sets.  A
+    node is pruned when keeping every vertex not excluded cannot beat the
+    best set found.  Otherwise it branches on the first edge avoiding every
+    excluded vertex: each of its vertices not yet kept is excluded in turn,
+    with the earlier ones kept.  A node whose edges all meet the excluded
+    set leaves an independent set.
+    """
     edge_sets = h.edge_sets
     best = 0
-
-    def recurse(excluded: frozenset, forced: frozenset) -> None:
-        nonlocal best
+    stack = [(frozenset(), frozenset())]
+    while stack:
+        excluded, kept = stack.pop()
         budget.spend()
         candidate = h.n - len(excluded)
         if candidate <= best:
-            return
+            continue
         for es in edge_sets:
             if not es & excluded:
-                return _branch(es, excluded, forced)
-        best = candidate
-
-    def _branch(edge: frozenset, excluded: frozenset, forced: frozenset) -> None:
-        kept = forced
-        for v in sorted(edge - forced):
-            recurse(excluded | {v}, kept)
+                break
+        else:
+            best = candidate
+            continue
+        children = []
+        for v in sorted(es - kept):
+            children.append((excluded | {v}, kept))
             kept = kept | {v}
-        # all vertices of `edge` forced in -> infeasible branch, drop it
-
-    recurse(frozenset(), frozenset())
+        # all vertices of es kept -> infeasible, no child; least vertex on top
+        stack.extend(reversed(children))
     return best
 
 

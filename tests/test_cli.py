@@ -327,6 +327,15 @@ def test_huge_vertex_count_exit_1(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
+def test_deeply_nested_json_exit_1(tmp_path, capsys):
+    # the JSON decoder recurses once per nesting level
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    assert main(["arrows", "--host", str(deep), "--pattern", str(deep)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_embed_long_path_without_recursion_limit(tmp_path, capsys):
     # a recursive copy search nested one frame per pattern vertex
     path = write_hg(tmp_path / "p.json", ell_path(2, 1, 1500))

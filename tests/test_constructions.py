@@ -23,7 +23,7 @@ from ramseyforge.constructions import (
     star_tree,
     verify_ell_tree,
 )
-from ramseyforge.errors import UnreachableOrderError
+from ramseyforge.errors import BudgetExceededError, UnreachableOrderError
 from ramseyforge.hypergraph import KUniformHypergraph, are_isomorphic
 
 
@@ -102,6 +102,21 @@ def test_random_ell_tree_verifies(params, seed):
     assert t.n == n
     assert verify_ell_tree(t, ell)
     assert find_ell_tree_order(t, ell) is not None
+
+
+def test_ell_tree_order_depth_is_bounded_by_the_budget(shallow_stack):
+    # the order search goes one edge deeper per edge placed
+    order = find_ell_tree_order(ell_path(3, 1, 601), 1)
+    assert sorted(order) == list(range(300))
+
+
+def test_ell_tree_order_node_count_is_pinned():
+    h = KUniformHypergraph.from_edges(3, 9, [
+        (0, 1, 7), (0, 5, 6), (1, 3, 7), (1, 4, 6), (2, 5, 6), (4, 5, 6), (5, 6, 8)
+    ])
+    assert find_ell_tree_order(h, 2, node_cap=297) is None
+    with pytest.raises(BudgetExceededError):
+        find_ell_tree_order(h, 2, node_cap=296)
 
 
 def test_ell_paths_are_ell_trees():

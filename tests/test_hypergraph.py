@@ -4,7 +4,7 @@ import operator
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramseyforge.constructions import clique, disjoint_union
+from ramseyforge.constructions import clique, disjoint_union, ell_path, gadget_family
 from ramseyforge.errors import BudgetExceededError
 from ramseyforge.hypergraph import (
     BLUE,
@@ -251,6 +251,20 @@ def test_independence_budget_is_shared_by_components():
             cap += 1
     with pytest.raises(BudgetExceededError):
         independence_number(two_edges, node_cap=cap)
+
+
+def test_independence_search_depth_is_bounded_by_the_budget(shallow_stack):
+    # 300 edges in a row: a search recursing per excluded vertex runs out
+    # of stack long before it runs out of budget
+    with pytest.raises(BudgetExceededError):
+        independence_number(ell_path(3, 1, 601), node_cap=2000)
+
+
+def test_gadget_union_independence_node_count_is_pinned():
+    _, union = gadget_family(3, 2, 11)
+    assert independence_number(union, node_cap=1313) == 20
+    with pytest.raises(BudgetExceededError):
+        independence_number(union, node_cap=1312)
 
 
 def test_isomorphism_positive_and_negative():

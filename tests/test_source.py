@@ -89,3 +89,39 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text())
     found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, f"{path.name}: assert statements at lines {found}"
+
+
+def _calls_by_function(tree):
+    """Function name -> the plain names it calls, nested definitions
+    counted apart from the function that holds them."""
+    calls: dict[str, set[str]] = {}
+    defs = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for fn in defs:
+        names = calls.setdefault(fn.name, set())
+        todo = list(fn.body)
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                names.add(node.func.id)
+            todo.extend(ast.iter_child_nodes(node))
+    return calls
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("src/ramseyforge/*.py")), ids=lambda p: p.name)
+def test_no_recursive_functions(path):
+    # a recursive search is bounded by the interpreter stack, not by its
+    # node budget; every search runs on an explicit stack
+    calls = _calls_by_function(ast.parse(path.read_text()))
+    cyclic = []
+    for name in calls:
+        seen, todo = set(), [name]
+        while todo:
+            for callee in calls.get(todo.pop(), ()):
+                if callee in calls and callee not in seen:
+                    seen.add(callee)
+                    todo.append(callee)
+        if name in seen:
+            cyclic.append(name)
+    assert not cyclic, f"{path.name}: {', '.join(cyclic)}"
