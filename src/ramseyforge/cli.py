@@ -249,11 +249,24 @@ def _majority_coloring(host: KUniformHypergraph, deg: list[int]) -> EdgeColoring
     return EdgeColoring(host, colors)
 
 
+# rng.choice((RED, BLUE)) is getrandbits(2), the top two bits of one 32-bit
+# word, redrawn on 2 or 3; so the top byte of a word decides: below 0x40
+# RED, below 0x80 BLUE, and from 0x80 a redraw, deleted by translate
+_COIN = (RED * 0x40 + BLUE * 0xC0).encode()
+_REDRAW = bytes(range(0x80, 0x100))
+
+
 def _random_coloring(host: KUniformHypergraph, seed: int) -> EdgeColoring:
+    """tuple(rng.choice((RED, BLUE)) for _ in host.edges), drawn as one
+    word stream."""
     rng = random.Random(seed)
-    return EdgeColoring(
-        host, tuple(rng.choice((RED, BLUE)) for _ in host.edges)
-    )
+    m = host.num_edges
+    picks = b""
+    while len(picks) < m:
+        words = 2 * (m - len(picks))
+        draw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+        picks += draw.translate(_COIN, _REDRAW)
+    return EdgeColoring(host, tuple(picks[:m].decode()))
 
 
 def _cmd_color(args) -> int:

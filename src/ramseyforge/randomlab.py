@@ -11,7 +11,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import add, eq, ge, itemgetter
 from typing import Iterable, Optional
 
 from .constructions import clique_hypergraph, enumerate_cliques
@@ -84,7 +87,8 @@ def gnp(params: GnpParams) -> KUniformHypergraph:
     edges = [
         e for e in itertools.combinations(range(params.n), 2) if rng.random() < p
     ]
-    return KUniformHypergraph.from_edges(2, params.n, edges)
+    # combinations yields increasing pairs in lexicographic order: canonical
+    return KUniformHypergraph(2, params.n, tuple(edges))
 
 
 # -- exact clique statistics ----------------------------------------------
@@ -138,7 +142,8 @@ def clique_stats(
     if a & union_b:
         raise ValueError("A must be disjoint from the family's vertices")
 
-    t_ell = {ell: len(enumerate_cliques(g, ell)) for ell in range(1, k)}
+    t_ell = {1: g.n, 2: g.num_edges}
+    t_ell.update((ell, len(enumerate_cliques(g, ell))) for ell in range(3, k))
     t_ell[k] = cliques.num_edges
 
     # the k-cliques through member b are b plus a common neighbour of b's
@@ -346,9 +351,7 @@ def _grow_path(k: int, n: int, sought: list[tuple[int, ...]], m: int) -> Procedu
             seeds += 1
         else:
             tail = path[-(k - 1):]
-            ext = next(
-                (w for w in sorted(unused) if tuple(sorted(tail + [w])) in sought_set), None
-            )
+            ext = _least_extension(sorted(tail), sorted(unused), sought_set)
             if ext is None:  # dead tail: retire it and rewind
                 trash.append(tuple(sorted(tail)))
                 del path[-(k - 1):]
@@ -374,6 +377,22 @@ def _grow_path(k: int, n: int, sought: list[tuple[int, ...]], m: int) -> Procedu
         rewinds=rewinds,
         steps=steps,
     )
+
+
+def _least_extension(tail, free, edge_set) -> Optional[int]:
+    """The least w in free with tail plus w, sorted, in edge_set; None if
+    there is none.  tail and free are sorted and disjoint.  The tail's
+    vertices split free into runs, and every w of one run takes the same
+    place in the sorted edge, so each run is one pass of C-level lookups."""
+    lo = 0
+    for i, hi in enumerate([*(bisect_left(free, t) for t in tail), len(free)]):
+        run = free[lo:hi]
+        keys = zip(*map(repeat, tail[:i]), run, *map(repeat, tail[i:]))
+        w = next(compress(run, map(edge_set.__contains__, keys)), None)
+        if w is not None:
+            return w
+        lo = hi
+    return None
 
 
 # -- iterated procedure and red/blue accounting -----------------------------
@@ -409,6 +428,18 @@ class AccountingReport:
     round_cap_exceeded: bool
 
 
+def _vertex_hits(edges, k: int, marked, n: int) -> list[int]:
+    """Per edge, how many of its k vertices lie in marked, summed column
+    by column over the edge list."""
+    flag = [0] * n
+    for v in marked:
+        flag[v] = 1
+    hits = [0] * len(edges)
+    for i in range(k):
+        hits = list(map(add, hits, map(flag.__getitem__, map(itemgetter(i), edges))))
+    return hits
+
+
 def iterated_procedure(
     h: KUniformHypergraph,
     coloring: EdgeColoring,
@@ -429,10 +460,11 @@ def iterated_procedure(
     k = h.k
     if round_cap is None:
         round_cap = 4 * k * m
-    t_sought = sum(1 for c in coloring.colors if c == color)
+    t_sought = coloring.colors.count(color)
     t_other = h.num_edges - t_sought
 
-    current: list[tuple[tuple[int, ...], str]] = list(zip(h.edges, coloring.colors))
+    # the current host as aligned edge and colour lists
+    edges, colors = list(h.edges), list(coloring.colors)
     rounds: list[RoundRecord] = []
     x_counts: dict[tuple[int, ...], int] = {}
     sum_x = sum_y = z_c = 0
@@ -444,7 +476,8 @@ def iterated_procedure(
         if len(rounds) >= round_cap:
             cap_exceeded = True
             break
-        state = _grow_path(k, h.n, [e for e, c in current if c == color], m)
+        sought = list(compress(edges, map(eq, colors, repeat(color))))
+        state = _grow_path(k, h.n, sought, m)
 
         if state.status == PATH_FOUND:
             found_path = state.path
@@ -453,23 +486,26 @@ def iterated_procedure(
             )
             break
 
-        # one pass: count x and y, and keep all but the sought-color edges
-        # through the trash.  The trash tuples are disjoint, so for k > 2 an
-        # edge holds at most one; for k = 2 the other vertex w is trash too.
+        # count x and y, and drop the sought-color edges through the trash.
+        # Only an edge with k - 1 trash vertices can hold a trash tuple.  The
+        # tuples are disjoint, so for k > 2 an edge holds at most one; for
+        # k = 2 the other vertex w is trash too.
         a_set = tuple(state.path)
         x = y = 0
         trash = set(state.trash)
         trash_vertices = set().union(*state.trash)
         inside = trash_vertices.union(a_set)
-        kept = []
-        for e, c in current:
+        hits = _vertex_hits(edges, k, trash_vertices, h.n)
+        keep = bytearray([1]) * len(edges)
+        for i in compress(range(len(edges)), map(ge, hits, repeat(k - 1))):
+            e = edges[i]
             member = next(
                 (t for t in itertools.combinations(e, k - 1) if t in trash), None
             )
-            if member is None or c != color:
-                kept.append((e, c))
             if member is None:
                 continue
+            if colors[i] == color:
+                keep[i] = 0
             (w,) = set(e) - set(member)
             if w in inside:
                 y += 1
@@ -482,9 +518,10 @@ def iterated_procedure(
 
         if state.status == NO_SEED:
             c_final = tuple(sorted(trash_vertices))
-            z_c = sum(1 for e in h.edges if not trash_vertices.isdisjoint(e))
+            z_c = h.num_edges - _vertex_hits(h.edges, k, trash_vertices, h.n).count(0)
             break
-        current = kept
+        edges = list(compress(edges, keep))
+        colors = list(compress(colors, keep))
 
     # the per-round families are pairwise disjoint iff no tuple repeats
     trash_tuples = [t for r in rounds for t in set(r.trash)]

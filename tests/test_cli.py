@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -6,10 +7,10 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ramseyforge.cli import CONSTRUCT_KINDS, main
+from ramseyforge.cli import CONSTRUCT_KINDS, _random_coloring, main
 from ramseyforge.constructions import clique, ell_path
 from ramseyforge.errors import ExhaustedPermutationsError
-from ramseyforge.hypergraph import KUniformHypergraph
+from ramseyforge.hypergraph import BLUE, RED, KUniformHypergraph
 
 
 def write_hg(path, h):
@@ -260,6 +261,37 @@ def test_report_texts_are_pinned(tmp_path):
         out = tmp_path / f"{name}.json"
         assert main(argv + ["--out", str(out)]) == 0
         assert _report_text(out) == json.dumps(report, indent=2) + "\n", name
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("--n 60 --k 3 --p 0.2 --m 10 --seed 2 --coloring-scheme random",
+         "eec6552dc60aebdb"),  # 7 rounds, NoSeed
+        ("--n 90 --k 3 --p 0.2 --m 10 --seed 2 --coloring-scheme majority",
+         "b9f977bc6f2792ef"),  # 7 rounds, PathFound
+        ("--n 60 --k 4 --p 0.35 --m 10 --seed 2 --coloring-scheme random",
+         "fb55dad63e4f332d"),
+        ("--n 90 --k 4 --p 0.2 --m 10 --seed 1 --coloring-scheme random",
+         "3c4ad0936f05a7ac"),  # NoSeed, z_c = 151
+    ],
+)
+def test_randomlab_report_digests_are_pinned(tmp_path, argv, digest):
+    out = tmp_path / "r.json"
+    assert main(["randomlab", "pipeline", *argv.split(), "--out", str(out)]) == 0
+    report = load(out)
+    report.pop("timestamp")
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 7, 63, 64, 65, 500, 5000])
+def test_random_coloring_draws_what_choice_draws(m):
+    star = KUniformHypergraph(2, m + 1, tuple((0, v) for v in range(1, m + 1)))
+    for seed in range(300):
+        rng = random.Random(seed)
+        want = tuple(rng.choice((RED, BLUE)) for _ in star.edges)
+        assert _random_coloring(star, seed).colors == want, seed
 
 
 def test_randomlab_pipeline_deterministic(tmp_path):

@@ -11,6 +11,7 @@ from ramseyforge.hypergraph import (
     RED,
     EdgeColoring,
     KUniformHypergraph,
+    _well_formed,
     are_isomorphic,
     automorphism_count,
     find_isomorphism,
@@ -125,6 +126,7 @@ _K7_3 = tuple(itertools.combinations(range(7), 3))  # 35 edges: the whole-list p
 def test_validation_names_one_defect_in_a_long_list(edges):
     want = _outcome(lambda: _edge_loop_validation(3, 7, edges))
     assert want is not None and want[0] is ValueError
+    assert _well_formed(_K7_3, 3, 7) and not _well_formed(edges, 3, 7)
     assert _outcome(lambda: KUniformHypergraph(3, 7, edges)) == want
 
 

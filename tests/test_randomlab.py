@@ -4,6 +4,7 @@ import random
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramseyforge import randomlab
 from ramseyforge.constructions import clique_hypergraph
@@ -12,7 +13,10 @@ from ramseyforge.randomlab import (
     NO_SEED,
     PATH_FOUND,
     TRASH_FULL,
+    AccountingReport,
     GnpParams,
+    ProcedureState,
+    RoundRecord,
     clique_stats,
     default_alpha,
     default_beta,
@@ -380,3 +384,137 @@ def test_iterated_procedure_matches_per_round_reference(k, n, p):
             } == expected
             multi_round += len(rounds) > 1
     assert multi_round >= 3  # the edge stripping between rounds is exercised
+
+
+def scan_grow_path(k, n, sought, m):
+    """Reference path growing with the per-candidate extension scan: every
+    unused vertex, ascending, is tried by sorting the tail plus it."""
+    sought_set = set(sought)
+    unused = set(range(n))
+    path, trash = [], []
+    seeds = extensions = rewinds = steps = 0
+    status = None
+    while status is None:
+        steps += 1
+        if not path:
+            seed_edge = next((e for e in sought if unused.issuperset(e)), None)
+            if seed_edge is None:
+                status = NO_SEED
+                break
+            path = list(seed_edge)
+            unused -= set(seed_edge)
+            seeds += 1
+        else:
+            tail = path[-(k - 1):]
+            ext = next(
+                (w for w in sorted(unused) if tuple(sorted(tail + [w])) in sought_set), None
+            )
+            if ext is None:
+                trash.append(tuple(sorted(tail)))
+                del path[-(k - 1):]
+                rewinds += 1
+                if len(trash) >= m:
+                    status = TRASH_FULL
+                elif len(path) < k:
+                    unused |= set(path)
+                    path = []
+                continue
+            path.append(ext)
+            unused.discard(ext)
+            extensions += 1
+        if len(path) >= m:
+            status = PATH_FOUND
+    return ProcedureState(status, tuple(path), tuple(trash), seeds, extensions, rewinds, steps)
+
+
+def pairs_iterated_procedure(h, coloring, color, m):
+    """Reference accounting that keeps the host as (edge, colour) pairs and
+    tests every edge of every round for a trash tuple."""
+    k = h.k
+    round_cap = 4 * k * m
+    t_sought = sum(1 for c in coloring.colors if c == color)
+    current = list(zip(h.edges, coloring.colors))
+    rounds, x_counts = [], {}
+    sum_x = sum_y = z_c = 0
+    c_final, found_path, cap_exceeded = (), None, False
+    while True:
+        if len(rounds) >= round_cap:
+            cap_exceeded = True
+            break
+        state = scan_grow_path(k, h.n, [e for e, c in current if c == color], m)
+        if state.status == PATH_FOUND:
+            found_path = state.path
+            rounds.append(RoundRecord(state.status, state.trash, state.path, 0, 0, state))
+            break
+        a_set = tuple(state.path)
+        x = y = 0
+        trash = set(state.trash)
+        trash_vertices = set().union(*state.trash)
+        inside = trash_vertices.union(a_set)
+        kept = []
+        for e, c in current:
+            member = next(
+                (t for t in itertools.combinations(e, k - 1) if t in trash), None
+            )
+            if member is None or c != color:
+                kept.append((e, c))
+            if member is None:
+                continue
+            (w,) = set(e) - set(member)
+            if w in inside:
+                y += 1
+            else:
+                x += 1
+                x_counts[e] = x_counts.get(e, 0) + 1
+        sum_x += x
+        sum_y += y
+        rounds.append(RoundRecord(state.status, state.trash, a_set, x, y, state))
+        if state.status == NO_SEED:
+            c_final = tuple(sorted(trash_vertices))
+            z_c = sum(1 for e in h.edges if not trash_vertices.isdisjoint(e))
+            break
+        current = kept
+    trash_tuples = [t for r in rounds for t in set(r.trash)]
+    return AccountingReport(
+        sought_color=color,
+        t_sought=t_sought,
+        t_other=h.num_edges - t_sought,
+        t_k=h.num_edges,
+        sum_x=sum_x,
+        sum_y=sum_y,
+        z_c=z_c,
+        c_set=c_final,
+        rounds=rounds,
+        found_path=found_path,
+        verdict_sought_bound=(
+            None if found_path is not None or cap_exceeded
+            else t_sought <= sum_y + z_c
+        ),
+        verdict_x_bound=sum_x <= k * (h.num_edges - t_sought),
+        max_edge_x_count=max(x_counts.values(), default=0),
+        trash_families_disjoint=len(trash_tuples) == len(set(trash_tuples)),
+        round_cap=round_cap,
+        round_cap_exceeded=cap_exceeded,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.sampled_from((2, 3, 4)),
+    n=st.integers(0, 30),
+    density=st.integers(0, 12),
+    seed=st.integers(0, 2**32),
+    m=st.integers(1, 8),
+)
+def test_iterated_procedure_matches_the_scan_reference(k, n, density, seed, m):
+    # random k-graphs with up to 12n edges: about one run in fifteen takes
+    # more than one round
+    rng = random.Random(seed)
+    candidates = list(itertools.combinations(range(n), k))
+    size = rng.randint(0, min(len(candidates), density * n))
+    host = KUniformHypergraph(k, n, tuple(sorted(rng.sample(candidates, size))))
+    coloring = EdgeColoring(host, tuple(rng.choice((RED, BLUE)) for _ in host.edges))
+    # dataclass equality: every field, rounds[*].state included
+    assert iterated_procedure(host, coloring, BLUE, m) == pairs_iterated_procedure(
+        host, coloring, BLUE, m
+    )
