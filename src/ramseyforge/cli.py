@@ -50,7 +50,7 @@ from .hypergraph import (
     independence_number,
 )
 from .embedding import find_copy
-from .randomlab import GnpParams, clique_stats, gnp, iterated_procedure
+from .randomlab import GnpParams, clique_stats, gnp, iterated_procedure, vertex_hits
 from .search import (
     ALL_STRATEGIES,
     ramsey_number_small,
@@ -241,12 +241,9 @@ def _majority_coloring(host: KUniformHypergraph, deg: list[int]) -> EdgeColoring
     # Red iff the edge puts at least ceil(k/2) vertices in the top-degree
     # half; deg is the host's vertex degrees
     ranked = sorted(range(host.n), key=lambda v: (-deg[v], v))
-    top = set(ranked[: host.n // 2])
+    hits = vertex_hits(host.edges, host.k, ranked[: host.n // 2], host.n)
     need = -(-host.k // 2)
-    colors = tuple(
-        RED if len(top.intersection(e)) >= need else BLUE for e in host.edges
-    )
-    return EdgeColoring(host, colors)
+    return EdgeColoring(host, tuple(RED if c >= need else BLUE for c in hits))
 
 
 # rng.choice((RED, BLUE)) is getrandbits(2), the top two bits of one 32-bit

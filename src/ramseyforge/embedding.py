@@ -112,7 +112,8 @@ def enumerate_copies(
     Private keywords: _pins maps pattern vertices to the only host vertex
     each may take.  _less holds pairs (v, w), v placed before w in the
     pattern order, and keeps only the copies with mapping[v] < mapping[w]:
-    w tries only candidates above the images of its pairs, so a violating
+    w tries only candidates above the images of its pairs, and v only those
+    that leave a higher host vertex for each of its pairs, so a violating
     subtree is never entered.  _budget, when given, is spent in place of a
     fresh Budget(node_cap), so that several searches share one cap.  _masks
     yields, in place of each mapping, the bitmask over host edge indices of
@@ -131,8 +132,11 @@ def enumerate_copies(
         closing[max(pos[v] for v in es)].append(es)
     # below[i]: the pattern vertices whose images the image of order[i] must exceed
     below: list[list[int]] = [[] for _ in range(pattern.n)]
+    # ceiling[i]: the highest image of order[i] that leaves a higher one per _less pair
+    ceiling = [host.n - 1] * pattern.n
     for v, w in _less:
         below[pos[w]].append(v)
+        ceiling[pos[v]] -= 1
     # anchor[i]: the first placed pattern neighbour of order[i], if any; the
     # image of order[i] must share a host edge with the anchor's image
     anchor: list[Optional[int]] = []
@@ -160,7 +164,7 @@ def enumerate_copies(
     def candidates(i: int) -> Sequence[int]:
         """Host vertices order[i] may take, in increasing order: its pin, or
         the host neighbours of its anchor's image, or every host vertex;
-        then only those above the images of its _less pairs."""
+        then only those between the floor and ceiling of its _less pairs."""
         u, a = order[i], anchor[i]
         if u in pins:
             near = (pins[u],)
@@ -169,6 +173,8 @@ def enumerate_copies(
         if below[i]:
             floor = max([mapping[v] for v in below[i]])
             near = near[bisect.bisect_right(near, floor):]
+        if near and near[-1] > ceiling[i]:
+            near = near[: bisect.bisect_right(near, ceiling[i])]
         return near
 
     # depth-first search with an explicit stack: stack[i] holds the host
@@ -238,37 +244,30 @@ def _edge_core(pattern: KUniformHypergraph) -> tuple[list[int], KUniformHypergra
     return covered, pattern if len(covered) == pattern.n else pattern.induced(covered)
 
 
-def symmetry_broken_core(
-    pattern: KUniformHypergraph,
-    node_cap: int = 10_000_000,
-) -> tuple[KUniformHypergraph, tuple[tuple[int, int], ...]]:
-    """The edge-covered core of pattern and its symmetry-breaking conditions.
-
-    The conditions are those of Grochow and Kellis (RECOMB 2007): walk the
-    core's vertices in the copy search's order, pinning each in turn; every
-    w in the orbit of v under the stabiliser of the earlier pins gives the
-    pair (v, w), read mapping[v] < mapping[w].  Among the copy maps of one
-    edge set, which differ by an automorphism of the core, exactly one
-    meets every pair: the first one the copy search yields.  Each orbit is
-    found by pinned copy searches of the core in itself, one per candidate
-    w of v's degree, so the automorphism group is never listed.  All the
-    orbit searches together try at most node_cap candidates; past that,
-    BudgetExceededError.  Cached per pattern by KUniformHypergraph.copy_core.
-    """
-    _, core = _edge_core(pattern)
-    deg = core.degrees()
-    budget = Budget(node_cap)
-    pins: dict[int, int] = {}
-    less = []
-    for v in _pattern_order(core):
-        for w in range(core.n):
+def stabiliser_orbits(
+    h: KUniformHypergraph, fixed: Collection[int], budget: Budget
+) -> list[tuple[int, tuple[int, ...]]]:
+    """(v, orbit of v) for each vertex v of h outside fixed, in the copy
+    search's order.  Each orbit, ascending, is taken under the stabiliser of
+    fixed and of the earlier v: a w of v's degree is in it iff the copy
+    search of h in itself, with those vertices pinned to themselves and v
+    pinned to w, finds a copy.  All these searches spend the one budget."""
+    deg = h.degrees()
+    pins = {v: v for v in fixed}
+    orbits = []
+    for v in _pattern_order(h):
+        if v in pins:
+            continue
+        orbit = [v]
+        for w in range(h.n):
             if w == v or w in pins or deg[w] != deg[v]:
                 continue
-            autos = enumerate_copies(core, core, _pins={**pins, v: w}, _budget=budget)
+            autos = enumerate_copies(h, h, _pins={**pins, v: w}, _budget=budget)
             if next(autos, None) is not None:
-                less.append((v, w))
+                orbit.append(w)
+        orbits.append((v, tuple(sorted(orbit))))
         pins[v] = v
-    return core, tuple(less)
+    return orbits
 
 
 def copy_edge_masks(

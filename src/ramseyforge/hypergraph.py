@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -121,14 +122,20 @@ class KUniformHypergraph:
     def copy_core(
         self, node_cap: int = 10_000_000
     ) -> tuple["KUniformHypergraph", tuple[tuple[int, int], ...]]:
-        """(edge-covered core, orbit conditions of its copy search), built
-        on first use and cached; see embedding.symmetry_broken_core, whose
-        orbit searches node_cap bounds.  A build that runs out of budget
-        raises BudgetExceededError and caches nothing."""
+        """(edge-covered core, orbit conditions of its copy search), built on
+        first use and cached.  Each w in the orbit of v, from
+        embedding.stabiliser_orbits on the core, gives the pair (v, w), read
+        mapping[v] < mapping[w]: of the copy maps of one edge set, which
+        differ by a core automorphism, only the first one the copy search
+        yields meets every pair (Grochow and Kellis, RECOMB 2007).  node_cap
+        bounds the orbit searches; past it, BudgetExceededError, caching nothing."""
         if "_copy_core" not in self.__dict__:
-            from .embedding import symmetry_broken_core
+            from .embedding import _edge_core, stabiliser_orbits
 
-            self.__dict__["_copy_core"] = symmetry_broken_core(self, node_cap)
+            _, core = _edge_core(self)
+            orbits = stabiliser_orbits(core, (), Budget(node_cap))
+            less = tuple((v, w) for v, orbit in orbits for w in orbit if w != v)
+            self.__dict__["_copy_core"] = core, less
         return self.__dict__["_copy_core"]
 
     @cached_property
@@ -380,17 +387,14 @@ def automorphism_count(
     fixed: Iterable[int] = (),
     node_cap: int = 10_000_000,
 ) -> int:
-    """Order of the automorphism group (exhaustive copy search, n <= ~20).
+    """Order of the automorphism group of h, or of the stabiliser of the
+    vertices in fixed (e.g. a rooted construction's root): by orbit-stabiliser,
+    the product of the orbit sizes along embedding.stabiliser_orbits, so the
+    group is never listed.  node_cap bounds its pinned copy searches together."""
+    from .embedding import stabiliser_orbits
 
-    Every copy of h in itself is an automorphism.  `fixed` lists vertices
-    that must map to themselves, e.g. the root of a rooted construction
-    whose group is taken root-preservingly; the copy search pins them, so
-    only their stabiliser is enumerated.  node_cap bounds the candidates
-    the copy search tries.
-    """
-    from .embedding import enumerate_copies
-
-    pins = {v: v for v in fixed}
-    if any(not 0 <= v < h.n for v in pins):
+    fixed = set(fixed)
+    if any(not 0 <= v < h.n for v in fixed):
         raise ValueError("fixed vertices out of range")
-    return sum(1 for _ in enumerate_copies(h, h, node_cap=node_cap, _pins=pins))
+    orbits = stabiliser_orbits(h, fixed, Budget(node_cap))
+    return math.prod(len(orbit) for _, orbit in orbits)

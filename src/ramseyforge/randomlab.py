@@ -428,7 +428,7 @@ class AccountingReport:
     round_cap_exceeded: bool
 
 
-def _vertex_hits(edges, k: int, marked, n: int) -> list[int]:
+def vertex_hits(edges, k: int, marked, n: int) -> list[int]:
     """Per edge, how many of its k vertices lie in marked, summed column
     by column over the edge list."""
     flag = [0] * n
@@ -495,7 +495,7 @@ def iterated_procedure(
         trash = set(state.trash)
         trash_vertices = set().union(*state.trash)
         inside = trash_vertices.union(a_set)
-        hits = _vertex_hits(edges, k, trash_vertices, h.n)
+        hits = vertex_hits(edges, k, trash_vertices, h.n)
         keep = bytearray([1]) * len(edges)
         for i in compress(range(len(edges)), map(ge, hits, repeat(k - 1))):
             e = edges[i]
@@ -518,7 +518,7 @@ def iterated_procedure(
 
         if state.status == NO_SEED:
             c_final = tuple(sorted(trash_vertices))
-            z_c = h.num_edges - _vertex_hits(h.edges, k, trash_vertices, h.n).count(0)
+            z_c = h.num_edges - vertex_hits(h.edges, k, trash_vertices, h.n).count(0)
             break
         edges = list(compress(edges, keep))
         colors = list(compress(colors, keep))

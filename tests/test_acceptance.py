@@ -295,7 +295,7 @@ def test_criterion_06_coloring_lift():
 
 def test_criterion_07_gadget_audit():
     def body():
-        for t in (1, 2, 3):
+        for t in (1, 2, 3, 4, 5):
             b = binary_three_tree(t)
             assert b.n == 2 ** (t + 1) - 1
             # the automorphism formula counts root-preserving maps

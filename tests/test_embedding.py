@@ -198,9 +198,18 @@ def test_copy_edge_masks_one_map_per_copy():
 def test_copy_edge_masks_never_lists_the_group():
     # K1,12 has 12! automorphisms, far too many to list or to enumerate as
     # maps; node_cap bounds the orbit searches (4,213 candidates) and,
-    # apart, the conditioned search, which walks the 2^12 increasing leaf
-    # sequences
+    # apart, the conditioned search, which the orbit conditions keep to
+    # the one increasing leaf sequence
     assert copy_edge_masks(star(12), star(12), node_cap=5_000) == [4095]
+
+
+def test_less_ceilings_leave_room_above_each_image():
+    # leaf j of K1,12 must map below the 12 - j leaves after it, so its
+    # ceiling leaves it host vertex j alone: the search tries the centre's
+    # 13 candidates and one per leaf, 25 in all
+    core, less = star(12).copy_core()
+    masks = enumerate_copies(core, star(12), node_cap=25, _less=less, _masks=True)
+    assert list(masks) == [4095]
 
 
 def test_embedding_is_valid_needs_one_host_vertex_per_pattern_vertex():

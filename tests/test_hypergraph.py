@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramseyforge.constructions import clique, disjoint_union, ell_path, gadget_family
-from ramseyforge.errors import BudgetExceededError
+from ramseyforge.embedding import _pattern_order, stabiliser_orbits
+from ramseyforge.errors import Budget, BudgetExceededError
 from ramseyforge.hypergraph import (
     BLUE,
     RED,
@@ -341,6 +342,22 @@ def test_automorphism_count_matches_bruteforce(k, data):
     autos = list(_isomorphisms(h, h))
     assert automorphism_count(h) == len(autos)
     assert automorphism_count(h, fixed=(0,)) == sum(a[0] == 0 for a in autos)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_stabiliser_orbits_match_bruteforce(k, data):
+    # each orbit is the set of images of its base point under the
+    # automorphisms fixing `fixed` and every earlier base point
+    h = data.draw(small_hypergraphs(k=k, min_n=k))
+    fixed = data.draw(st.sets(st.integers(0, h.n - 1)))
+    orbits = stabiliser_orbits(h, fixed, Budget(1_000_000))
+    assert [v for v, _ in orbits] == [v for v in _pattern_order(h) if v not in fixed]
+    autos = [a for a in _isomorphisms(h, h) if all(a[v] == v for v in fixed)]
+    for v, orbit in orbits:
+        assert orbit == tuple(sorted({a[v] for a in autos}))
+        autos = [a for a in autos if a[v] == v]
 
 
 @pytest.mark.parametrize("k", [2, 3])

@@ -125,3 +125,21 @@ def test_no_recursive_functions(path):
         if name in seen:
             cyclic.append(name)
     assert not cyclic, f"{path.name}: {', '.join(cyclic)}"
+
+
+def test_only_stabiliser_orbits_pins_the_copy_search():
+    # vertex symmetry has one routine; another pinned copy search would be
+    # a second stabiliser chain beside embedding.stabiliser_orbits
+    pinning = []
+    for path in sorted(ROOT.glob("src/ramseyforge/*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        # ast.walk is breadth first, so a nested function's name overwrites
+        # that of the function holding it
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and any(kw.arg == "_pins" for kw in node.keywords):
+                pinning.append((path.name, owner.get(node)))
+    assert pinning == [("embedding.py", "stabiliser_orbits")]
