@@ -31,7 +31,13 @@ from math import comb
 from typing import Optional, Sequence
 
 from .constructions import clique
-from .errors import Budget, BudgetExceededError, InvalidBaseColoringError
+from .errors import (
+    ARROWS_NODE_CAP,
+    COPY_NODE_CAP,
+    Budget,
+    BudgetExceededError,
+    InvalidBaseColoringError,
+)
 from .hypergraph import (
     BLUE,
     RED,
@@ -40,9 +46,6 @@ from .hypergraph import (
     opposite,
 )
 from .embedding import copy_edge_masks, enumerate_copies, find_copy
-
-ARROWS_NODE_CAP = 100_000_000
-COPY_NODE_CAP = 10_000_000
 
 
 class ArrowResult(enum.Enum):
@@ -398,7 +401,6 @@ def vhigh_vlow_coloring(
     h: KUniformHypergraph,
     d: int,
     gadgets: list[KUniformHypergraph],
-    node_cap: int = COPY_NODE_CAP,
 ) -> tuple[EdgeColoring, VhighVlowReport]:
     """Blue = edges meeting the high-degree part plus the root edges of all
     low-part copies of the rarest gadget; red = everything else.
@@ -419,12 +421,9 @@ def vhigh_vlow_coloring(
     roots_per_gadget = []
     for g in gadgets:
         # the root is the least covered vertex, so vertex 0 of the core too
-        core, less = g.copy_core(node_cap)
+        core, less = g.copy_core()
         root = next(e for e in core.edges if 0 in e)
-        maps = (
-            enumerate_copies(core, h_low, node_cap=node_cap, _less=less)
-            if g.n <= h_low.n else ()
-        )
+        maps = enumerate_copies(core, h_low, _less=less) if g.n <= h_low.n else ()
         count = 0
         roots: set[frozenset] = set()
         for mapping in maps:

@@ -19,13 +19,7 @@ from dataclasses import asdict, fields
 from typing import Optional
 
 from . import __version__
-from .arrow import (
-    ARROWS_NODE_CAP,
-    ArrowResult,
-    arrows,
-    degree_threshold_coloring,
-    vhigh_vlow_coloring,
-)
+from .arrow import ArrowResult, arrows, degree_threshold_coloring, vhigh_vlow_coloring
 from .constructions import (
     SteinerParams,
     binary_three_tree,
@@ -39,7 +33,7 @@ from .constructions import (
     random_gadget,
     star_tree,
 )
-from .errors import BudgetExceededError, CapsTooSmallError
+from .errors import ARROWS_NODE_CAP, COPY_NODE_CAP, BudgetExceededError, CapsTooSmallError
 from .hypergraph import (
     BLUE,
     RED,
@@ -133,59 +127,39 @@ def _report(command: str, config: dict, seed: Optional[int], body: dict) -> dict
 
 # -- construct --------------------------------------------------------------
 
-CONSTRUCT_KINDS = (
-    "ell-path",
-    "clique",
-    "ell-tree",
-    "star-tree",
-    "binary-tree",
-    "gadget",
-    "gadget-family",
-    "steiner",
-    "blowup",
-    "clique-hypergraph",
-)
+
+def _host_graph(args) -> KUniformHypergraph:
+    if args.host is None:
+        raise ValueError(f"{args.kind} needs --host (a graph JSON file)")
+    return _load_hypergraph(args.host)
+
+
+# kind -> builder from the parsed arguments and the seed; the order is the
+# order of the parser's choices
+_CONSTRUCTORS = {
+    "ell-path": lambda a, seed: ell_path(a.k, a.l, a.n),
+    "clique": lambda a, seed: clique(a.k, a.n),
+    "ell-tree": lambda a, seed: random_ell_tree(a.k, a.l, a.n, seed),
+    "star-tree": lambda a, seed: star_tree(a.k, a.n),
+    "binary-tree": lambda a, seed: binary_three_tree(a.t),
+    "gadget": lambda a, seed: random_gadget(a.t, random.Random(seed)),
+    "gadget-family": lambda a, seed: gadget_family(a.t, a.q, seed),
+    "steiner": lambda a, seed: greedy_partial_steiner(
+        SteinerParams(a.t, a.k, a.n, seed)
+    ).hypergraph,
+    "blowup": lambda a, seed: blowup_path_host(_host_graph(a), a.k, a.l),
+    "clique-hypergraph": lambda a, seed: clique_hypergraph(_host_graph(a), a.k),
+}
 
 
 def _cmd_construct(args) -> int:
-    seed = _resolve_seed(args.seed)
-    kind = args.kind
-    if kind == "ell-path":
-        h = ell_path(args.k, args.l, args.n)
-    elif kind == "clique":
-        h = clique(args.k, args.n)
-    elif kind == "ell-tree":
-        h = random_ell_tree(args.k, args.l, args.n, seed)
-    elif kind == "star-tree":
-        h = star_tree(args.k, args.n)
-    elif kind == "binary-tree":
-        h = binary_three_tree(args.t)
-    elif kind == "gadget":
-        h = random_gadget(args.t, random.Random(seed))
-    elif kind == "gadget-family":
-        members, union = gadget_family(args.t, args.q, seed)
-        payload = {
-            "members": [m.to_dict() for m in members],
-            "union": union.to_dict(),
-        }
-        _write_json(args.out, payload)
-        return EXIT_OK
-    elif kind == "steiner":
-        result = greedy_partial_steiner(SteinerParams(args.t, args.k, args.n, seed))
-        h = result.hypergraph
-    elif kind == "blowup":
-        if args.host is None:
-            raise ValueError("blowup needs --host (a graph JSON file)")
-        g = _load_hypergraph(args.host)
-        h = blowup_path_host(g, args.k, args.l)
-    elif kind == "clique-hypergraph":
-        if args.host is None:
-            raise ValueError("clique-hypergraph needs --host (a graph JSON file)")
-        g = _load_hypergraph(args.host)
-        h = clique_hypergraph(g, args.k)
+    built = _CONSTRUCTORS[args.kind](args, _resolve_seed(args.seed))
+    if args.kind == "gadget-family":
+        members, union = built
+        payload = {"members": [m.to_dict() for m in members], "union": union.to_dict()}
     else:
-        raise ValueError(f"unknown kind {kind!r}")
-    _write_json(args.out, h.to_dict())
+        payload = built.to_dict()
+    _write_json(args.out, payload)
     return EXIT_OK
 
 
@@ -266,22 +240,26 @@ def _random_coloring(host: KUniformHypergraph, seed: int) -> EdgeColoring:
     return EdgeColoring(host, tuple(picks[:m].decode()))
 
 
+def _degree_threshold(host: KUniformHypergraph, args) -> EdgeColoring:
+    if args.n is None:
+        raise ValueError("degree-threshold needs --n (target tree order)")
+    return degree_threshold_coloring(host, args.n)
+
+
+# scheme -> coloring of the host from the parsed arguments and the seed
+_COLOR_SCHEMES = {
+    "random": lambda host, a, seed: _random_coloring(host, seed),
+    "majority": lambda host, a, seed: _majority_coloring(host, host.degrees()),
+    "degree-threshold": lambda host, a, seed: _degree_threshold(host, a),
+    "vhigh-vlow": lambda host, a, seed: vhigh_vlow_coloring(
+        host, a.d, gadget_family(a.t, a.q, seed)[0]
+    )[0],
+}
+
+
 def _cmd_color(args) -> int:
     host = _load_hypergraph(args.host)
-    seed = _resolve_seed(args.seed)
-    if args.scheme == "random":
-        coloring = _random_coloring(host, seed)
-    elif args.scheme == "majority":
-        coloring = _majority_coloring(host, host.degrees())
-    elif args.scheme == "degree-threshold":
-        if args.n is None:
-            raise ValueError("degree-threshold needs --n (target tree order)")
-        coloring = degree_threshold_coloring(host, args.n)
-    elif args.scheme == "vhigh-vlow":
-        members, _ = gadget_family(args.t, args.q, seed)
-        coloring, _report_obj = vhigh_vlow_coloring(host, args.d, members)
-    else:
-        raise ValueError(f"unknown scheme {args.scheme!r}")
+    coloring = _COLOR_SCHEMES[args.scheme](host, args, _resolve_seed(args.seed))
     _write_json(args.out, coloring.to_list())
     return EXIT_OK
 
@@ -402,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a hypergraph and emit its JSON")
-    p.add_argument("kind", choices=CONSTRUCT_KINDS)
+    p.add_argument("kind", choices=_CONSTRUCTORS)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--l", type=int, default=1)
     p.add_argument("--n", type=int, default=0)
@@ -426,13 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", required=True)
     p.add_argument("--coloring")
     p.add_argument("--color")
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=COPY_NODE_CAP)
     p.set_defaults(func=_cmd_embed)
 
     p = sub.add_parser("color", help="emit a coloring for a host")
-    p.add_argument(
-        "scheme", choices=("random", "majority", "degree-threshold", "vhigh-vlow")
-    )
+    p.add_argument("scheme", choices=_COLOR_SCHEMES)
     p.add_argument("--host", required=True)
     p.add_argument("--n", type=int, help="target tree order (degree-threshold)")
     p.add_argument("--d", type=int, default=3, help="degree threshold (vhigh-vlow)")

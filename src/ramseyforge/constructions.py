@@ -13,8 +13,13 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import Budget, ExhaustedPermutationsError, UnreachableOrderError
+from .errors import ELL_TREE_NODE_CAP, Budget, ExhaustedPermutationsError, UnreachableOrderError
 from .hypergraph import KUniformHypergraph, are_isomorphic
+
+# overlap sequences random_ell_tree draws before UnreachableOrderError
+_ELL_TREE_RETRIES = 200
+# leaf orders gadget_family draws before ExhaustedPermutationsError
+_GADGET_RETRIES = 2000
 
 
 def ell_path(k: int, ell: int, n: int) -> KUniformHypergraph:
@@ -63,9 +68,7 @@ def star_tree(k: int, n: int) -> KUniformHypergraph:
     return KUniformHypergraph.from_edges(k, n, edges)
 
 
-def random_ell_tree(
-    k: int, ell: int, n: int, seed: int, max_retries: int = 200
-) -> KUniformHypergraph:
+def random_ell_tree(k: int, ell: int, n: int, seed: int) -> KUniformHypergraph:
     """A random ell-tree of order exactly n, built edge by edge.
 
     Each new edge picks a uniformly random prior edge, a uniform overlap
@@ -78,7 +81,7 @@ def random_ell_tree(
     if n < k:
         raise ValueError(f"need n >= k, got n={n}")
     rng = random.Random(seed)
-    for _ in range(max_retries):
+    for _ in range(_ELL_TREE_RETRIES):
         edges = [tuple(range(k))]
         used = k
         while used < n:
@@ -101,7 +104,7 @@ def random_ell_tree(
 
 
 def find_ell_tree_order(
-    h: KUniformHypergraph, ell: int, node_cap: int = 2_000_000
+    h: KUniformHypergraph, ell: int, node_cap: int = ELL_TREE_NODE_CAP
 ) -> Optional[list[int]]:
     """An edge ordering witnessing that h is an ell-tree, or None.
 
@@ -156,9 +159,9 @@ def find_ell_tree_order(
     return None
 
 
-def verify_ell_tree(h: KUniformHypergraph, ell: int, node_cap: int = 2_000_000) -> bool:
+def verify_ell_tree(h: KUniformHypergraph, ell: int) -> bool:
     """True iff some ordering of E(h) satisfies both ell-tree conditions."""
-    return find_ell_tree_order(h, ell, node_cap) is not None
+    return find_ell_tree_order(h, ell) is not None
 
 
 def binary_three_tree(t: int) -> KUniformHypergraph:
@@ -213,7 +216,7 @@ def random_gadget(t: int, rng: random.Random) -> KUniformHypergraph:
 
 
 def gadget_family(
-    t: int, q: int, seed: int, max_retries: int = 2000
+    t: int, q: int, seed: int
 ) -> tuple[list[KUniformHypergraph], KUniformHypergraph]:
     """q pairwise non-isomorphic gadgets plus their disjoint union.
 
@@ -226,7 +229,7 @@ def gadget_family(
     tries = 0
     while len(members) < q:
         tries += 1
-        if tries > max_retries:
+        if tries > _GADGET_RETRIES:
             raise ExhaustedPermutationsError(
                 f"found only {len(members)} non-isomorphic gadgets for t={t}, wanted {q}"
             )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Collection, Iterator, Mapping, Optional, Sequence
 
 from .constructions import find_ell_tree_order
-from .errors import Budget
+from .errors import COPY_NODE_CAP, Budget
 from .hypergraph import EdgeColoring, KUniformHypergraph
 
 
@@ -95,7 +95,7 @@ def enumerate_copies(
     host: KUniformHypergraph,
     coloring: Optional[EdgeColoring] = None,
     color: Optional[str] = None,
-    node_cap: int = 10_000_000,
+    node_cap: int = COPY_NODE_CAP,
     *,
     _pins: Optional[Mapping[int, int]] = None,
     _less: Collection[tuple[int, int]] = (),
@@ -217,7 +217,7 @@ def find_copy(
     host: KUniformHypergraph,
     coloring: Optional[EdgeColoring] = None,
     color: Optional[str] = None,
-    node_cap: int = 10_000_000,
+    node_cap: int = COPY_NODE_CAP,
 ) -> Optional[Embedding]:
     """First copy found, or None; deterministic given the inputs.
 
@@ -273,7 +273,7 @@ def stabiliser_orbits(
 def copy_edge_masks(
     pattern: KUniformHypergraph,
     host: KUniformHypergraph,
-    node_cap: int = 10_000_000,
+    node_cap: int = COPY_NODE_CAP,
 ) -> list[int]:
     """Distinct bitmasks (over host edge indices) of the edge sets of all
     copies of pattern in host, in increasing order.
@@ -292,8 +292,6 @@ def copy_edge_masks(
     if pattern.n > host.n:
         return []
     core, less = pattern.copy_core(node_cap)
-    if core.num_edges == 0:
-        return [0]
     return sorted(
         enumerate_copies(core, host, node_cap=node_cap, _less=less, _masks=True)
     )
@@ -347,7 +345,6 @@ def greedy_tree_embed(
     tree: KUniformHypergraph,
     host: KUniformHypergraph,
     ell: int,
-    edge_order: Optional[list[int]] = None,
 ) -> Embedding | EmbedFailure:
     """Embed an ell-tree edge by edge into the host.
 
@@ -360,12 +357,9 @@ def greedy_tree_embed(
     """
     if tree.k != host.k:
         raise ValueError("tree and host must share the uniformity")
+    edge_order = find_ell_tree_order(tree, ell)
     if edge_order is None:
-        edge_order = find_ell_tree_order(tree, ell)
-        if edge_order is None:
-            raise ValueError(f"input is not an ell-tree for ell={ell}")
-    if sorted(edge_order) != list(range(tree.num_edges)):
-        raise ValueError("edge_order must enumerate the tree's edges")
+        raise ValueError(f"input is not an ell-tree for ell={ell}")
 
     mapping: dict[int, int] = {}
     used: set[int] = set()

@@ -21,6 +21,15 @@ class InvalidBaseColoringError(ValueError):
     """The base coloring handed to the clique lift already has a monochromatic clique."""
 
 
+# The default node caps of the exhaustive searches.  An answer is exact only
+# relative to the cap its search ran under, so each default is stated here once.
+ARROWS_NODE_CAP = 100_000_000  # decision nodes of the arrow search
+COPY_NODE_CAP = 10_000_000  # candidates tried by a copy or orbit search
+ISOMORPHISM_NODE_CAP = 5_000_000  # candidates of find_isomorphism's copy search
+INDEPENDENCE_NODE_CAP = 2_000_000  # branch-and-bound nodes of independence_number
+ELL_TREE_NODE_CAP = 2_000_000  # edge-order prefixes entered by find_ell_tree_order
+
+
 class Budget:
     """Mutable countdown of search-tree nodes.
 

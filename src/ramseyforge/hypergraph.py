@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .errors import Budget
+from .errors import COPY_NODE_CAP, INDEPENDENCE_NODE_CAP, ISOMORPHISM_NODE_CAP, Budget
 
 RED = "R"
 BLUE = "B"
@@ -120,7 +120,7 @@ class KUniformHypergraph:
         return tuple(tuple(sorted(a - {v})) for v, a in enumerate(adj))
 
     def copy_core(
-        self, node_cap: int = 10_000_000
+        self, node_cap: int = COPY_NODE_CAP
     ) -> tuple["KUniformHypergraph", tuple[tuple[int, int], ...]]:
         """(edge-covered core, orbit conditions of its copy search), built on
         first use and cached.  Each w in the orbit of v, from
@@ -269,7 +269,7 @@ class EdgeColoring:
 # -- independence number ------------------------------------------------
 
 
-def independence_number(h: KUniformHypergraph, node_cap: int = 2_000_000) -> int:
+def independence_number(h: KUniformHypergraph, node_cap: int = INDEPENDENCE_NODE_CAP) -> int:
     """Size of a largest vertex set spanning no edge (exact branch and bound).
 
     Sums the searches on the induced connected components of h (vertices
@@ -357,7 +357,7 @@ def _refined_colors(h: KUniformHypergraph) -> tuple:
 
 
 def find_isomorphism(
-    h1: KUniformHypergraph, h2: KUniformHypergraph, node_cap: int = 5_000_000
+    h1: KUniformHypergraph, h2: KUniformHypergraph, node_cap: int = ISOMORPHISM_NODE_CAP
 ) -> Optional[dict[int, int]]:
     """Vertex bijection mapping edges onto edges, or None.
 
@@ -376,25 +376,29 @@ def find_isomorphism(
     return None if copy is None else copy.as_dict()
 
 
-def are_isomorphic(
-    h1: KUniformHypergraph, h2: KUniformHypergraph, node_cap: int = 5_000_000
-) -> bool:
-    return find_isomorphism(h1, h2, node_cap) is not None
+def are_isomorphic(h1: KUniformHypergraph, h2: KUniformHypergraph) -> bool:
+    return find_isomorphism(h1, h2) is not None
 
 
 def automorphism_count(
     h: KUniformHypergraph,
     fixed: Iterable[int] = (),
-    node_cap: int = 10_000_000,
+    node_cap: int = COPY_NODE_CAP,
 ) -> int:
     """Order of the automorphism group of h, or of the stabiliser of the
-    vertices in fixed (e.g. a rooted construction's root): by orbit-stabiliser,
-    the product of the orbit sizes along embedding.stabiliser_orbits, so the
+    vertices in fixed (e.g. a rooted construction's root).  Automorphisms
+    permute the isolated vertices outside fixed freely, giving i! for i of
+    them; on the edge-covered core, by orbit-stabiliser, the order is the
+    product of the orbit sizes along embedding.stabiliser_orbits, so the
     group is never listed.  node_cap bounds its pinned copy searches together."""
-    from .embedding import stabiliser_orbits
+    from .embedding import _edge_core, stabiliser_orbits
 
     fixed = set(fixed)
     if any(not 0 <= v < h.n for v in fixed):
         raise ValueError("fixed vertices out of range")
-    orbits = stabiliser_orbits(h, fixed, Budget(node_cap))
-    return math.prod(len(orbit) for _, orbit in orbits)
+    covered, core = _edge_core(h)
+    rank = {v: i for i, v in enumerate(covered)}
+    pinned = {rank[v] for v in fixed & rank.keys()}
+    orbits = stabiliser_orbits(core, pinned, Budget(node_cap))
+    isolated = h.n - len(covered) - len(fixed - rank.keys())
+    return math.factorial(isolated) * math.prod(len(orbit) for _, orbit in orbits)

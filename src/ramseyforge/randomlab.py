@@ -220,15 +220,13 @@ def property_check(
     trials: int = 20,
     seed: int = 0,
     d: Optional[float] = None,
-    extra_families: Iterable[Iterable[Iterable[int]]] = (),
 ) -> PropertyCheckReport:
     """Sampled check of the completion-ratio, intersection and total-count
     properties of a clique host.
 
     Full quantification over (A, family, C) is infeasible, so each trial
     draws a random disjoint family and a random A; C is the greedy
-    largest-degree-first representative.  extra_families lets callers feed
-    adversarial families (e.g. trash sets from procedure runs).
+    largest-degree-first representative.
     """
     if c is None:
         c = 3.0 ** (-3 * k)
@@ -249,11 +247,8 @@ def property_check(
     )
 
     samples: list[PropertySample] = []
-    planned: list[list[Iterable[int]]] = [
-        [frozenset(b) for b in fam] for fam in extra_families
-    ]
-    for _ in range(trials):
-        planned.append(_random_disjoint_family(km1, family_budget, rng))
+    # all families are drawn before any A: seeded reports depend on that order
+    planned = [_random_disjoint_family(km1, family_budget, rng) for _ in range(trials)]
     for family in planned:
         used = {v for b in family for v in b}
         outside = [v for v in range(g.n) if v not in used]

@@ -18,7 +18,7 @@ from .constructions import (
     find_ell_tree_order,
     greedy_partial_steiner,
 )
-from .errors import BudgetExceededError, CapsTooSmallError
+from .errors import ARROWS_NODE_CAP, BudgetExceededError, CapsTooSmallError
 from .hypergraph import KUniformHypergraph, are_isomorphic
 
 ALL_STRATEGIES = ("clique-host", "steiner-host", "blowup-host", "random-host")
@@ -70,7 +70,7 @@ def _first_arrowing(
 
 
 def ramsey_number_small(
-    pattern: KUniformHypergraph, cap: int, node_cap: int = 100_000_000
+    pattern: KUniformHypergraph, cap: int, node_cap: int = ARROWS_NODE_CAP
 ) -> Optional[int]:
     """Least N <= cap with complete-host arrowing, or None when no N <= cap
     arrows.  Raises BudgetExceededError when the budget runs out first."""
@@ -87,7 +87,7 @@ def _require_edges(pattern: KUniformHypergraph) -> None:
 def size_ramsey_upper(
     pattern: KUniformHypergraph,
     strategies: tuple[str, ...] = ALL_STRATEGIES,
-    node_cap: int = 100_000_000,
+    node_cap: int = ARROWS_NODE_CAP,
     ramsey_cap: int = 8,
     max_host_edges: int = 18,
     seed: int = 0,
@@ -182,11 +182,12 @@ def _steiner_hosts(pattern: KUniformHypergraph, seed: int) -> Iterator[KUniformH
 
 
 def _random_hosts(
-    pattern: KUniformHypergraph, max_host_edges: int, seed: int, samples: int = 20
+    pattern: KUniformHypergraph, max_host_edges: int, seed: int
 ) -> Iterator[KUniformHypergraph]:
+    """Twenty seeded draws of a host at or above the pattern's floor."""
     rng = random.Random(seed)
     k = pattern.k
-    for _ in range(samples):
+    for _ in range(20):
         n = rng.randint(pattern.n, pattern.n + k + 2)
         m = rng.randint(pattern.num_edges, max_host_edges)
         total = math.comb(n, k)
@@ -265,7 +266,7 @@ def size_ramsey_exact_tiny(
     pattern: KUniformHypergraph,
     vcap: int = 9,
     ecap: int = 12,
-    node_cap: int = 100_000_000,
+    node_cap: int = ARROWS_NODE_CAP,
 ) -> SizeRamseyBound:
     """Exact size-Ramsey number under the stated host caps.
 

@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ramseyforge.cli import CONSTRUCT_KINDS, _random_coloring, main
+from ramseyforge.cli import _CONSTRUCTORS, _random_coloring, main
 from ramseyforge.constructions import clique, ell_path
 from ramseyforge.errors import ExhaustedPermutationsError
 from ramseyforge.hypergraph import BLUE, RED, KUniformHypergraph
@@ -525,7 +525,7 @@ def test_fuzzed_numeric_arguments_exit_cleanly(tmp_path, capsys):
         t, q = str(rng.randint(-1, 3)), small()
         command = rng.choice(["construct", "color", "randomlab", "gadget-audit"])
         if command == "construct":
-            kind = rng.choice([k for k in CONSTRUCT_KINDS if k not in _HOST_KINDS])
+            kind = rng.choice([k for k in _CONSTRUCTORS if k not in _HOST_KINDS])
             argv = ["construct", kind, "--k", small(), "--l", small(),
                     "--n", str(rng.randint(-1, 12)), "--t", t, "--q", q]
         elif command == "color":

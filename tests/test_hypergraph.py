@@ -1,4 +1,5 @@
 import itertools
+import math
 import operator
 
 import pytest
@@ -324,6 +325,14 @@ def test_automorphism_count_pins_inside_the_search():
     assert automorphism_count(star, fixed=range(1, 8), node_cap=1_000) == 1
     with pytest.raises(ValueError):
         automorphism_count(star, fixed=(9,))
+
+
+def test_isolated_vertices_contribute_a_factorial():
+    # the isolated vertices outside fixed are permuted freely and take no
+    # copy search, so 85 of them stay far inside the default cap
+    h = KUniformHypergraph(2, 87, ((0, 1),))
+    assert automorphism_count(h) == 2 * math.factorial(85)
+    assert automorphism_count(h, fixed=(2,)) == 2 * math.factorial(84)
 
 
 def _isomorphisms(h1, h2):

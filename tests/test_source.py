@@ -143,3 +143,18 @@ def test_only_stabiliser_orbits_pins_the_copy_search():
             if isinstance(node, ast.Call) and any(kw.arg == "_pins" for kw in node.keywords):
                 pinning.append((path.name, owner.get(node)))
     assert pinning == [("embedding.py", "stabiliser_orbits")]
+
+
+def test_budget_defaults_live_in_errors():
+    # an answer is exact only relative to the node cap its search ran under,
+    # so each default cap is a named constant of errors.py, stated once
+    literals = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(ROOT.glob("src/ramseyforge/*.py"))
+        if path.name != "errors.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant)
+        and type(node.value) is int
+        and node.value >= 1_000_000
+    ]
+    assert not literals, f"budget-sized integer literals outside errors.py: {literals}"
