@@ -11,7 +11,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import ELL_TREE_NODE_CAP, Budget, ExhaustedPermutationsError, UnreachableOrderError
 from .hypergraph import KUniformHypergraph, are_isomorphic
@@ -111,7 +111,10 @@ def find_ell_tree_order(
     Searches over orderings depth-first on an explicit stack (greedy-first
     tie order), one budget unit per prefix entered; whether a prefix can be
     extended depends only on the chosen edge set, so failed subsets are
-    memoized.
+    memoized.  An edge extends a prefix when it meets the covered vertices
+    in at most ell of them, all inside one chosen edge: first the edges
+    that meet them, most shared vertices first, then those that miss them,
+    each group in index order.
     """
     if not 1 <= ell < h.k:
         raise ValueError(f"need 1 <= ell < k, got ell={ell}, k={h.k}")
@@ -120,42 +123,73 @@ def find_ell_tree_order(
         return []
     budget = Budget(node_cap)
     edge_sets = h.edge_sets
+    incident: list[list[int]] = [[] for _ in range(h.n)]
+    for i, es in enumerate(edge_sets):
+        for v in es:
+            incident[v].append(i)
     failed: set[frozenset] = set()
     chosen: list[int] = []
     covered: set[int] = set()
     added: list[set[int]] = []  # the vertices each chosen edge added to covered
+    through: list[list[int]] = [[] for _ in range(h.n)]  # chosen edges per vertex
+    meet = [0] * m  # meet[i]: how many vertices of edge i are covered
+    touching: set[int] = set()  # the edges not chosen that meet covered
+
+    def choose(j: int) -> None:
+        chosen.append(j)
+        added.append(edge_sets[j] - covered)
+        covered.update(added[-1])
+        touching.discard(j)
+        for v in edge_sets[j]:
+            through[v].append(j)
+        for v in added[-1]:
+            for i in incident[v]:
+                meet[i] += 1
+                if i != j:
+                    touching.add(i)
+
+    def unchoose() -> None:
+        j = chosen.pop()
+        for v in added[-1]:
+            for i in incident[v]:
+                meet[i] -= 1
+                if not meet[i]:
+                    touching.discard(i)
+        for v in edge_sets[j]:
+            through[v].pop()
+        covered.difference_update(added.pop())
+        if meet[j]:
+            touching.add(j)
+
     # depth-first search with an explicit stack: stack[d] holds the edges
-    # still to try after the first d chosen ones
-    stack = [iter(range(m))]
+    # still to try after the first d chosen ones.  The edges that miss
+    # covered are listed lazily: when stack[d] is next read, the first d
+    # chosen edges are back in place, and so is meet.
+    stack: list[Iterator[int]] = [iter(range(m))]
     while stack:
         j = next(stack[-1], None)
         if j is None:  # every extension of chosen failed
             stack.pop()
             if chosen:
                 failed.add(frozenset(chosen))
-                covered -= added.pop()
-                chosen.pop()
+                unchoose()
             continue
-        chosen.append(j)
-        added.append(edge_sets[j] - covered)
-        covered |= added[-1]
+        choose(j)
         budget.spend()
         if len(chosen) == m:
             return list(chosen)
-        key = frozenset(chosen)
-        if key in failed:
-            covered -= added.pop()
-            chosen.pop()
+        if frozenset(chosen) in failed:
+            unchoose()
             continue
-        candidates = []
-        for i in range(m):
-            if i in key:
-                continue
+        near = []
+        for i in touching:
             inter = edge_sets[i] & covered
-            if len(inter) <= ell and any(inter <= edge_sets[c] for c in chosen):
-                candidates.append((-len(inter), i))
+            # a chosen edge holding inter passes through each of its vertices
+            if meet[i] <= ell and any(inter <= edge_sets[c] for c in through[min(inter)]):
+                near.append((-meet[i], i))
         # prefer high-overlap extensions: they constrain the future least
-        stack.append(iter([i for _, i in sorted(candidates)]))
+        apart = (i for i in range(m) if not meet[i])
+        stack.append(itertools.chain([i for _, i in sorted(near)], apart))
     return None
 
 

@@ -90,6 +90,47 @@ def _pattern_order(pattern: KUniformHypergraph) -> list[int]:
     return placed
 
 
+def _copy_plan(pattern: KUniformHypergraph) -> tuple:
+    """(order, pos, closing, anchor, degrees): the part of the copy search
+    that depends on the pattern alone, built on first use and cached on it.
+    order is _pattern_order and pos its inverse; closing[i] holds the
+    pattern edges whose last vertex in order is order[i]; anchor[i] is the
+    first placed pattern neighbour of order[i], if any, whose image the
+    image of order[i] must share a host edge with."""
+    if "_copy_plan" not in pattern.__dict__:
+        order = _pattern_order(pattern)
+        pos = {v: i for i, v in enumerate(order)}
+        closing: list[list[frozenset]] = [[] for _ in range(pattern.n)]
+        for es in pattern.edge_sets:
+            closing[max(pos[v] for v in es)].append(es)
+        anchor: list[Optional[int]] = []
+        for i, u in enumerate(order):
+            placed = [w for w in pattern.neighbors[u] if pos[w] < i]
+            anchor.append(min(placed, key=pos.__getitem__) if placed else None)
+        pattern.__dict__["_copy_plan"] = order, pos, closing, anchor, pattern.degrees()
+    return pattern.__dict__["_copy_plan"]
+
+
+def _host_plan(
+    host: KUniformHypergraph,
+    coloring: Optional[EdgeColoring],
+    color: Optional[str],
+) -> tuple[dict[frozenset, int], list[int]]:
+    """(allowed edges, allowed degree of each host vertex).  The uncoloured
+    pair is built on first use and cached on the host; a colour filter
+    builds its own on each call."""
+    if color is None and "_copy_host" in host.__dict__:
+        return host.__dict__["_copy_host"]
+    allowed = _allowed_edges(host, coloring, color)
+    deg = [0] * host.n
+    for es in allowed:
+        for v in es:
+            deg[v] += 1
+    if color is None:
+        host.__dict__["_copy_host"] = allowed, deg
+    return allowed, deg
+
+
 def enumerate_copies(
     pattern: KUniformHypergraph,
     host: KUniformHypergraph,
@@ -124,12 +165,8 @@ def enumerate_copies(
     if pattern.n > host.n:
         return
     budget = Budget(node_cap) if _budget is None else _budget
-    allowed = _allowed_edges(host, coloring, color)
-    order = _pattern_order(pattern)
-    pos = {v: i for i, v in enumerate(order)}
-    closing: list[list[frozenset]] = [[] for _ in range(pattern.n)]
-    for es in pattern.edge_sets:
-        closing[max(pos[v] for v in es)].append(es)
+    allowed, host_deg = _host_plan(host, coloring, color)
+    order, pos, closing, anchor, pat_deg = _copy_plan(pattern)
     # below[i]: the pattern vertices whose images the image of order[i] must exceed
     below: list[list[int]] = [[] for _ in range(pattern.n)]
     # ceiling[i]: the highest image of order[i] that leaves a higher one per _less pair
@@ -137,18 +174,6 @@ def enumerate_copies(
     for v, w in _less:
         below[pos[w]].append(v)
         ceiling[pos[v]] -= 1
-    # anchor[i]: the first placed pattern neighbour of order[i], if any; the
-    # image of order[i] must share a host edge with the anchor's image
-    anchor: list[Optional[int]] = []
-    for i, u in enumerate(order):
-        placed = [w for w in pattern.neighbors[u] if pos[w] < i]
-        anchor.append(min(placed, key=pos.__getitem__) if placed else None)
-
-    host_deg = [0] * host.n
-    for es in allowed:
-        for v in es:
-            host_deg[v] += 1
-    pat_deg = pattern.degrees()
 
     if pattern.n == 0:
         yield 0 if _masks else ()
@@ -246,26 +271,43 @@ def _edge_core(pattern: KUniformHypergraph) -> tuple[list[int], KUniformHypergra
 
 def stabiliser_orbits(
     h: KUniformHypergraph, fixed: Collection[int], budget: Budget
-) -> list[tuple[int, tuple[int, ...]]]:
-    """(v, orbit of v) for each vertex v of h outside fixed, in the copy
-    search's order.  Each orbit, ascending, is taken under the stabiliser of
-    fixed and of the earlier v: a w of v's degree is in it iff the copy
-    search of h in itself, with those vertices pinned to themselves and v
-    pinned to w, finds a copy.  All these searches spend the one budget."""
+) -> list[tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+    """(v, orbit of v, witnesses) for each vertex v of h outside fixed, in
+    the copy search's order.  Each orbit, ascending, is taken under the
+    stabiliser of fixed and of the earlier v.  A w of v's degree is in it
+    iff w is v's twin, i.e. swapping v and w maps the edge set onto itself,
+    or the copy search of h in itself, with those vertices pinned to
+    themselves and v pinned to w, finds a copy.  witnesses holds, for each
+    w != v of the orbit in turn, an automorphism of h taking v to w: the
+    swap for a twin, else that copy.  Together they generate the
+    stabiliser of fixed (Seress, Permutation Group Algorithms, 2003).  All
+    the pinned searches spend the one budget; a twin takes none."""
     deg = h.degrees()
+    edges = h.edge_index
+    incident: list[list[frozenset]] = [[] for _ in range(h.n)]
+    for es in h.edge_sets:
+        for x in es:
+            incident[x].append(es)
     pins = {v: v for v in fixed}
     orbits = []
-    for v in _pattern_order(h):
+    for v in _copy_plan(h)[0]:
         if v in pins:
             continue
-        orbit = [v]
+        witness = {}  # orbit member w != v -> its automorphism, by ascending w
         for w in range(h.n):
             if w == v or w in pins or deg[w] != deg[v]:
                 continue
-            autos = enumerate_copies(h, h, _pins={**pins, v: w}, _budget=budget)
-            if next(autos, None) is not None:
-                orbit.append(w)
-        orbits.append((v, tuple(sorted(orbit))))
+            # with equal degrees, the swap maps the edges through v and not
+            # w onto those through w and not v as soon as it maps them into
+            if all(w in es or es - {v} | {w} in edges for es in incident[v]):
+                swap = list(range(h.n))
+                swap[v], swap[w] = w, v
+                witness[w] = tuple(swap)
+                continue
+            auto = next(enumerate_copies(h, h, _pins={**pins, v: w}, _budget=budget), None)
+            if auto is not None:
+                witness[w] = auto
+        orbits.append((v, tuple(sorted([v, *witness])), tuple(witness.values())))
         pins[v] = v
     return orbits
 

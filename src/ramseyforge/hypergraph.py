@@ -134,7 +134,7 @@ class KUniformHypergraph:
 
             _, core = _edge_core(self)
             orbits = stabiliser_orbits(core, (), Budget(node_cap))
-            less = tuple((v, w) for v, orbit in orbits for w in orbit if w != v)
+            less = tuple((v, w) for v, orbit, _ in orbits for w in orbit if w != v)
             self.__dict__["_copy_core"] = core, less
         return self.__dict__["_copy_core"]
 
@@ -401,4 +401,4 @@ def automorphism_count(
     pinned = {rank[v] for v in fixed & rank.keys()}
     orbits = stabiliser_orbits(core, pinned, Budget(node_cap))
     isolated = h.n - len(covered) - len(fixed - rank.keys())
-    return math.factorial(isolated) * math.prod(len(orbit) for _, orbit in orbits)
+    return math.factorial(isolated) * math.prod(len(orbit) for _, orbit, _ in orbits)

@@ -7,7 +7,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .arrow import ArrowResult, arrows
 from .constructions import (
@@ -18,7 +18,14 @@ from .constructions import (
     find_ell_tree_order,
     greedy_partial_steiner,
 )
-from .errors import ARROWS_NODE_CAP, BudgetExceededError, CapsTooSmallError
+from .embedding import stabiliser_orbits
+from .errors import (
+    ARROWS_NODE_CAP,
+    COPY_NODE_CAP,
+    Budget,
+    BudgetExceededError,
+    CapsTooSmallError,
+)
 from .hypergraph import KUniformHypergraph, are_isomorphic
 
 ALL_STRATEGIES = ("clique-host", "steiner-host", "blowup-host", "random-host")
@@ -224,6 +231,27 @@ def _kth_subset(n: int, k: int, index: int) -> tuple[int, ...]:
 # -- exact tiny search over non-isomorphic hosts ---------------------------
 
 
+def _orbit_firsts(
+    n: int, size: int, autos: Sequence[tuple[int, ...]]
+) -> Iterator[tuple[int, ...]]:
+    """The first size-subset of range(n), in combinations order, of each
+    orbit of the group that the vertex permutations autos generate."""
+    seen: set[tuple[int, ...]] = set()
+    for first in itertools.combinations(range(n), size):
+        if first in seen:
+            continue
+        yield first
+        seen.add(first)
+        stack = [first]
+        while stack:
+            part = stack.pop()
+            for a in autos:
+                image = tuple(sorted([a[v] for v in part]))
+                if image not in seen:
+                    seen.add(image)
+                    stack.append(image)
+
+
 def enumerate_hosts(k: int, max_edges: int, vcap: int) -> Iterator[KUniformHypergraph]:
     """One k-graph per isomorphism class with 1..max_edges edges, no
     isolated vertices and at most vcap vertices, by increasing edge count.
@@ -234,6 +262,12 @@ def enumerate_hosts(k: int, max_edges: int, vcap: int) -> Iterator[KUniformHyper
     to it.  Every class is reached: dropping an edge of a host, and the
     vertices that leaves isolated, gives a host of the level below.  The
     generator stops at the first level with no child.
+
+    Old parts in one orbit of Aut(rep) give isomorphic children, so only
+    the first of each orbit is tried (McKay, Isomorph-free exhaustive
+    generation, J. Algorithms 26, 1998): a later one would find the first
+    one's child, or the kept child that rejected it, already in its bucket.
+    The orbits are taken under the witnesses of stabiliser_orbits(rep).
     """
     level = [KUniformHypergraph(k, 0, ())]
     for _ in range(max_edges):
@@ -242,9 +276,11 @@ def enumerate_hosts(k: int, max_edges: int, vcap: int) -> Iterator[KUniformHyper
         kept: dict[tuple, list[KUniformHypergraph]] = {}
         next_level = []
         for rep in level:
+            chain = stabiliser_orbits(rep, (), Budget(COPY_NODE_CAP))
+            autos = [a for _, _, witnesses in chain for a in witnesses]
             for fresh in range(min(k, vcap - rep.n) + 1):
                 new_part = tuple(range(rep.n, rep.n + fresh))
-                for old_part in itertools.combinations(range(rep.n), k - fresh):
+                for old_part in _orbit_firsts(rep.n, k - fresh, autos):
                     e = old_part + new_part
                     if e in rep.edges:
                         continue

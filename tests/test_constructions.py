@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,6 +110,107 @@ def test_ell_tree_order_depth_is_bounded_by_the_budget(shallow_stack):
     # the order search goes one edge deeper per edge placed
     order = find_ell_tree_order(ell_path(3, 1, 601), 1)
     assert sorted(order) == list(range(300))
+
+
+def _old_ell_tree_order(h, ell):
+    """find_ell_tree_order as it was when every node rescanned every edge
+    and every chosen edge: (order or None, prefixes entered)."""
+    m = h.num_edges
+    if m == 0:
+        return [], 0
+    nodes = 0
+    edge_sets = h.edge_sets
+    failed, chosen, covered, added = set(), [], set(), []
+    stack = [iter(range(m))]
+    while stack:
+        j = next(stack[-1], None)
+        if j is None:
+            stack.pop()
+            if chosen:
+                failed.add(frozenset(chosen))
+                covered -= added.pop()
+                chosen.pop()
+            continue
+        chosen.append(j)
+        added.append(edge_sets[j] - covered)
+        covered |= added[-1]
+        nodes += 1
+        if len(chosen) == m:
+            return list(chosen), nodes
+        key = frozenset(chosen)
+        if key in failed:
+            covered -= added.pop()
+            chosen.pop()
+            continue
+        candidates = []
+        for i in range(m):
+            if i in key:
+                continue
+            inter = edge_sets[i] & covered
+            if len(inter) <= ell and any(inter <= edge_sets[c] for c in chosen):
+                candidates.append((-len(inter), i))
+        stack.append(iter([i for _, i in sorted(candidates)]))
+    return None, nodes
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_ell_tree_order_matches_the_full_rescan(data):
+    # relabelled random ell-trees, some with one more edge, checked at every
+    # ell: the same order or None, after the same number of prefixes
+    k = data.draw(st.integers(2, 4))
+    ell = data.draw(st.integers(1, k - 1))
+    # each edge after the first adds at least k - ell vertices, so at most
+    # seven edges: a failing search enters at most every subset of them
+    n = data.draw(st.integers(k, k + 6 * (k - ell)))
+    try:
+        tree = random_ell_tree(k, ell, n, data.draw(st.integers(0, 10**6)))
+    except UnreachableOrderError:
+        return
+    perm = data.draw(st.permutations(range(n)))
+    edges = {tuple(sorted(perm[v] for v in e)) for e in tree.edges}
+    edges |= set(data.draw(st.lists(
+        st.sets(st.integers(0, n - 1), min_size=k, max_size=k).map(lambda e: tuple(sorted(e))),
+        max_size=1,
+    )))
+    h = KUniformHypergraph.from_edges(k, n, edges)
+    for each in range(1, k):
+        order, nodes = _old_ell_tree_order(h, each)
+        assert find_ell_tree_order(h, each, node_cap=nodes) == order
+        with pytest.raises(BudgetExceededError):
+            find_ell_tree_order(h, each, node_cap=nodes - 1)
+
+
+def _nested_codes(code):
+    """code and every function or generator expression compiled inside it."""
+    codes = {code}
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            codes |= _nested_codes(const)
+    return codes
+
+
+def test_ell_tree_order_work_grows_with_the_frontier_only():
+    # at each node only the edges meeting the covered vertices are listed,
+    # and a chosen edge holding their overlap is looked up through one of
+    # its vertices, so the 1,200-edge loose path runs about 63 trace events
+    # per edge (75,608 in all); rescanning every edge at every node ran as
+    # many on the first 100 edges
+    codes, events = _nested_codes(find_ell_tree_order.__code__), [0]
+
+    def count(frame, event, arg):
+        events[0] += 1
+        if events[0] > 150_000:
+            raise AssertionError("find_ell_tree_order ran more than 150,000 trace events")
+        return count
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count if frame.f_code in codes else None)
+    try:
+        order = find_ell_tree_order(ell_path(3, 1, 2401), 1)
+    finally:
+        sys.settrace(previous)
+    assert order == list(range(1200))
 
 
 def test_ell_tree_order_node_count_is_pinned():

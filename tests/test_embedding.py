@@ -197,9 +197,9 @@ def test_copy_edge_masks_one_map_per_copy():
 
 def test_copy_edge_masks_never_lists_the_group():
     # K1,12 has 12! automorphisms, far too many to list or to enumerate as
-    # maps; node_cap bounds the orbit searches (4,213 candidates) and,
-    # apart, the conditioned search, which the orbit conditions keep to
-    # the one increasing leaf sequence
+    # maps; the leaves are twins, so the orbits take no pinned search, and
+    # node_cap bounds the conditioned search, which the orbit conditions
+    # keep to the one increasing leaf sequence
     assert copy_edge_masks(star(12), star(12), node_cap=5_000) == [4095]
 
 
@@ -210,6 +210,34 @@ def test_less_ceilings_leave_room_above_each_image():
     core, less = star(12).copy_core()
     masks = enumerate_copies(core, star(12), node_cap=25, _less=less, _masks=True)
     assert list(masks) == [4095]
+
+
+def test_copy_plans_do_not_leak_between_searches():
+    # the pattern's plan and the host's uncoloured edge map are cached on
+    # the objects; every kind of search on them, in any order, must answer
+    # as it does on fresh equal objects that hold no cache
+    pattern, host = cycle(5), clique(2, 7)
+    colors = tuple(RED if (3 * e[0] + e[1]) % 5 < 3 else BLUE for e in host.edges)
+
+    def searches(pattern, host):
+        coloring = EdgeColoring(host, colors)
+        core, less = pattern.copy_core()
+        return {
+            "plain": lambda: list(enumerate_copies(pattern, host)),
+            "red": lambda: list(enumerate_copies(pattern, host, coloring, RED)),
+            "blue": lambda: list(enumerate_copies(pattern, host, coloring, BLUE)),
+            "less": lambda: list(enumerate_copies(core, host, _less=less, _masks=True)),
+            "pins": lambda: list(enumerate_copies(pattern, host, _pins={0: 3, 2: 6})),
+            "self": lambda: list(enumerate_copies(host, host, _pins={0: 1})),
+            "host-as-pattern": lambda: find_copy(host, host, coloring, RED),
+        }
+
+    shared = searches(pattern, host)
+    order = ["red", "plain", "pins", "less", "blue", "self", "plain", "red",
+             "host-as-pattern", "less", "pins", "blue", "plain"]
+    for name in order:
+        fresh = searches(cycle(5), clique(2, 7))
+        assert shared[name]() == fresh[name](), name
 
 
 def test_embedding_is_valid_needs_one_host_vertex_per_pattern_vertex():

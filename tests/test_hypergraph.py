@@ -358,14 +358,20 @@ def test_automorphism_count_matches_bruteforce(k, data):
 @given(data=st.data())
 def test_stabiliser_orbits_match_bruteforce(k, data):
     # each orbit is the set of images of its base point under the
-    # automorphisms fixing `fixed` and every earlier base point
+    # automorphisms fixing `fixed` and every earlier base point, and each
+    # witness is one of those automorphisms, taking the base point to its
+    # orbit member
     h = data.draw(small_hypergraphs(k=k, min_n=k))
     fixed = data.draw(st.sets(st.integers(0, h.n - 1)))
     orbits = stabiliser_orbits(h, fixed, Budget(1_000_000))
-    assert [v for v, _ in orbits] == [v for v in _pattern_order(h) if v not in fixed]
+    assert [v for v, _, _ in orbits] == [v for v in _pattern_order(h) if v not in fixed]
     autos = [a for a in _isomorphisms(h, h) if all(a[v] == v for v in fixed)]
-    for v, orbit in orbits:
+    for v, orbit, witnesses in orbits:
         assert orbit == tuple(sorted({a[v] for a in autos}))
+        members = [w for w in orbit if w != v]
+        assert len(witnesses) == len(members)
+        for w, a in zip(members, witnesses):
+            assert a in autos and a[v] == w
         autos = [a for a in autos if a[v] == v]
 
 
@@ -386,9 +392,21 @@ def test_isomorphism_matches_bruteforce(k, data):
 
 
 def test_isomorphism_searches_respect_node_cap():
+    # the vertices of K7 are twins, so its orbits need no pinned search; those
+    # of C7 are not
     k7 = clique(2, 7)
+    c7 = KUniformHypergraph.from_edges(2, 7, [(i, (i + 1) % 7) for i in range(7)])
     with pytest.raises(BudgetExceededError):
-        automorphism_count(k7, node_cap=10)
+        automorphism_count(c7, node_cap=10)
     with pytest.raises(BudgetExceededError):
         find_isomorphism(k7, k7, node_cap=10)
-    assert automorphism_count(k7) == 5040
+    assert automorphism_count(c7) == 14
+    assert automorphism_count(k7, node_cap=0) == 5040
+
+
+def test_twins_take_no_pinned_search():
+    # the leaves of K1,85 are twins: each orbit comes from swaps alone, so
+    # the 85! automorphisms are counted under the default cap, and with none
+    star = KUniformHypergraph.from_edges(2, 86, [(0, i) for i in range(1, 86)])
+    assert automorphism_count(star) == math.factorial(85)
+    assert automorphism_count(star, node_cap=0) == math.factorial(85)

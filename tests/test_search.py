@@ -351,6 +351,54 @@ def test_exact_dedupe_calls_at_most_one_isomorphism_test_per_host(monkeypatch):
     assert 0 < counts["iso"] <= tried
 
 
+def _unpruned_hosts(k, max_edges, vcap, iso):
+    """enumerate_hosts as it was before orbit pruning: every absent edge of
+    every representative is tried, and each child is tested with iso."""
+    level = [KUniformHypergraph(k, 0, ())]
+    for _ in range(max_edges):
+        kept, next_level = {}, []
+        for rep in level:
+            for fresh in range(min(k, vcap - rep.n) + 1):
+                new_part = tuple(range(rep.n, rep.n + fresh))
+                for old_part in itertools.combinations(range(rep.n), k - fresh):
+                    e = old_part + new_part
+                    if e in rep.edges:
+                        continue
+                    child = KUniformHypergraph(k, rep.n + fresh, tuple(sorted(rep.edges + (e,))))
+                    bucket = kept.setdefault(child.invariant, [])
+                    if any(iso(child, other) for other in bucket):
+                        continue
+                    bucket.append(child)
+                    next_level.append(child)
+                    yield child
+        if not next_level:
+            return
+        level = next_level
+
+
+@pytest.mark.parametrize("k, max_edges, vcap, unpruned_calls, calls", [
+    (2, 7, 6, 414, 159),
+    (2, 7, 7, 943, 362),
+    (2, 8, 8, 3_566, 1_506),
+    (2, 6, 9, 619, 190),
+    (3, 3, 9, 69, 8),
+    (3, 4, 6, 138, 33),
+])
+def test_orbit_pruning_keeps_the_host_sequence(monkeypatch, k, max_edges, vcap, unpruned_calls, calls):
+    # one absent edge per orbit of the representative's automorphisms gives
+    # the same hosts, labelling included, with fewer isomorphism tests
+    counts = collections.Counter()
+
+    def counting(name):
+        return lambda h1, h2: counts.update([name]) or are_isomorphic(h1, h2)
+
+    monkeypatch.setattr(search, "are_isomorphic", counting("pruned"))
+    pruned = [(h.n, h.edges) for h in enumerate_hosts(k, max_edges, vcap)]
+    unpruned = [(h.n, h.edges) for h in _unpruned_hosts(k, max_edges, vcap, counting("unpruned"))]
+    assert pruned == unpruned
+    assert (counts["unpruned"], counts["pruned"]) == (unpruned_calls, calls)
+
+
 def test_kth_subset_matches_lexicographic_order():
     for n in range(7):
         for k in range(1, n + 1):
