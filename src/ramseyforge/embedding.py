@@ -54,6 +54,8 @@ def _allowed_edges(
         return {es: 1 << i for es, i in host.edge_index.items()}
     if coloring is None:
         raise ValueError("a color filter requires a coloring")
+    if coloring.host != host:
+        raise ValueError("coloring host differs from the host searched")
     return {
         es: 1 << i
         for i, (es, c) in enumerate(zip(host.edge_sets, coloring.colors))
@@ -93,16 +95,21 @@ def _pattern_order(pattern: KUniformHypergraph) -> list[int]:
 def _copy_plan(pattern: KUniformHypergraph) -> tuple:
     """(order, pos, closing, anchor, degrees): the part of the copy search
     that depends on the pattern alone, built on first use and cached on it.
-    order is _pattern_order and pos its inverse; closing[i] holds the
-    pattern edges whose last vertex in order is order[i]; anchor[i] is the
-    first placed pattern neighbour of order[i], if any, whose image the
-    image of order[i] must share a host edge with."""
+    order is _pattern_order and pos its inverse.  closing[i] holds, for each
+    pattern edge whose last vertex in order is order[i], the edge's other
+    vertices: the one other vertex itself when k = 2, else their tuple;
+    they are the keys the copy search looks up in the link of order[i]'s
+    image (see _host_plan).  anchor[i] is the first placed pattern
+    neighbour of order[i], if any, whose image the image of order[i] must
+    share a host edge with."""
     if "_copy_plan" not in pattern.__dict__:
         order = _pattern_order(pattern)
         pos = {v: i for i, v in enumerate(order)}
-        closing: list[list[frozenset]] = [[] for _ in range(pattern.n)]
-        for es in pattern.edge_sets:
-            closing[max(pos[v] for v in es)].append(es)
+        closing: list[list] = [[] for _ in range(pattern.n)]
+        for e in pattern.edges:
+            i = max(pos[v] for v in e)
+            rest = tuple(v for v in e if v != order[i])
+            closing[i].append(rest[0] if pattern.k == 2 else rest)
         anchor: list[Optional[int]] = []
         for i, u in enumerate(order):
             placed = [w for w in pattern.neighbors[u] if pos[w] < i]
@@ -115,20 +122,24 @@ def _host_plan(
     host: KUniformHypergraph,
     coloring: Optional[EdgeColoring],
     color: Optional[str],
-) -> tuple[dict[frozenset, int], list[int]]:
-    """(allowed edges, allowed degree of each host vertex).  The uncoloured
-    pair is built on first use and cached on the host; a colour filter
-    builds its own on each call."""
+) -> list[dict]:
+    """The link of each host vertex w: a dict that maps the other vertices
+    of each allowed host edge through w to that edge's bit 1 << index.  A
+    key is the one other vertex itself when k = 2, else the frozenset of
+    the others.  The allowed degree of w is len(link[w]).  The uncoloured
+    links are built on first use and cached on the host; a colour filter
+    builds its own on each call, and raises ValueError for a coloring of
+    another host."""
     if color is None and "_copy_host" in host.__dict__:
         return host.__dict__["_copy_host"]
-    allowed = _allowed_edges(host, coloring, color)
-    deg = [0] * host.n
-    for es in allowed:
-        for v in es:
-            deg[v] += 1
+    link: list[dict] = [{} for _ in range(host.n)]
+    for es, bit in _allowed_edges(host, coloring, color).items():
+        for w in es:
+            rest = es - {w}
+            link[w][next(iter(rest)) if host.k == 2 else rest] = bit
     if color is None:
-        host.__dict__["_copy_host"] = allowed, deg
-    return allowed, deg
+        host.__dict__["_copy_host"] = link
+    return link
 
 
 def enumerate_copies(
@@ -148,7 +159,16 @@ def enumerate_copies(
     Deterministic order: candidates are tried in increasing vertex index
     along a fixed connectivity-first pattern order.  A pattern vertex with
     a placed neighbour tries only the host neighbours of that neighbour's
-    image; node_cap counts the candidates tried.
+    image.  A candidate w of pattern vertex u is kept when it is unused,
+    its allowed degree reaches u's, and the link of w holds the images of
+    every edge that u closes (the plans of _copy_plan and _host_plan);
+    only then is it written to the mapping.
+
+    node_cap counts the candidates tried.  The search counts them in a
+    local int and settles the count with one budget.spend() before each
+    yield, at exhaustion, and as soon as it passes the room the budget had
+    left, which raises at the same candidate as one spend() per candidate
+    would.  The room is read again on each resume.
 
     Private keywords: _pins maps pattern vertices to the only host vertex
     each may take.  _less holds pairs (v, w), v placed before w in the
@@ -165,7 +185,7 @@ def enumerate_copies(
     if pattern.n > host.n:
         return
     budget = Budget(node_cap) if _budget is None else _budget
-    allowed, host_deg = _host_plan(host, coloring, color)
+    link = _host_plan(host, coloring, color)
     order, pos, closing, anchor, pat_deg = _copy_plan(pattern)
     # below[i]: the pattern vertices whose images the image of order[i] must exceed
     below: list[list[int]] = [[] for _ in range(pattern.n)]
@@ -179,7 +199,9 @@ def enumerate_copies(
         yield 0 if _masks else ()
         return
     pins = _pins or {}
+    pair = pattern.k == 2
     mapping: dict[int, int] = {}
+    image_of = mapping.__getitem__
     used: set[int] = set()
     # image[i]: the bits of the image edges closed before depth i
     image = [0] * (pattern.n + 1)
@@ -202,6 +224,9 @@ def enumerate_copies(
             near = near[: bisect.bisect_right(near, ceiling[i])]
         return near
 
+    # tried: candidates since the budget was last settled; room: how many
+    # the budget had left then
+    tried, room = 0, budget.cap - budget.used
     # depth-first search with an explicit stack: stack[i] holds the host
     # candidates still to try for order[i], in increasing index order
     stack = [iter(candidates(0))]
@@ -210,31 +235,34 @@ def enumerate_copies(
         u = order[i]
         if u in mapping:  # back at depth i: release its previous candidate
             used.discard(mapping.pop(u))
+        need, closes = pat_deg[u], closing[i]
         for w in stack[i]:
-            budget.spend()
-            if w in used or host_deg[w] < pat_deg[u]:
+            tried += 1
+            if tried > room:
+                budget.spend(tried)  # crosses the cap, so raises
+            if w in used or len(link[w]) < need:
                 continue
-            mapping[u] = w
-            bits = image[i]
-            for es in closing[i]:
-                bit = allowed.get(frozenset(mapping[x] for x in es))
+            link_w, bits = link[w], image[i]
+            for rest in closes:
+                bit = link_w.get(mapping[rest] if pair else frozenset(map(image_of, rest)))
                 if bit is None:
                     break
                 bits |= bit
             else:  # every edge closed here lands on an allowed host edge
                 break
-            del mapping[u]
         else:
             stack.pop()
             continue
+        mapping[u] = w
         used.add(w)
         image[i + 1] = bits
         if i + 1 < pattern.n:
             stack.append(iter(candidates(i + 1)))
-        elif _masks:
-            yield bits
-        else:
-            yield tuple(mapping[v] for v in range(pattern.n))
+            continue
+        budget.spend(tried)
+        yield bits if _masks else tuple(mapping[v] for v in range(pattern.n))
+        tried, room = 0, budget.cap - budget.used
+    budget.spend(tried)
 
 
 def find_copy(

@@ -20,7 +20,7 @@ from ramseyforge.embedding import (
     greedy_tree_embed,
     peel_to_min_degree,
 )
-from ramseyforge.errors import BudgetExceededError, UnreachableOrderError
+from ramseyforge.errors import Budget, BudgetExceededError, UnreachableOrderError
 from ramseyforge.hypergraph import BLUE, RED, EdgeColoring, KUniformHypergraph
 
 
@@ -82,6 +82,99 @@ def test_embedding_validity_and_dict():
 def test_copy_budget():
     with pytest.raises(BudgetExceededError):
         list(enumerate_copies(ell_path(2, 1, 5), clique(2, 9), node_cap=10))
+
+
+def test_color_filter_rejects_a_coloring_of_another_host():
+    # colours were zipped to the host's edges by position, so the colouring
+    # of a 3-edge path, or of K4, found a red triangle in the triangle
+    tri = clique(2, 3)
+    for other in (EdgeColoring(ell_path(2, 1, 4), (RED,) * 3),
+                  EdgeColoring(clique(2, 4), (RED,) * 6)):
+        with pytest.raises(ValueError):
+            find_copy(tri, tri, other, RED)
+        with pytest.raises(ValueError):
+            list(enumerate_copies(tri, tri, other, RED, _masks=True))
+        with pytest.raises(ValueError):
+            Embedding((0, 1, 2), RED).is_valid(tri, tri, other)
+    # a colouring of an equal host object is a colouring of this host
+    same = EdgeColoring(clique(2, 3), (RED,) * 3)
+    assert find_copy(tri, tri, same, RED) == Embedding((0, 1, 2), RED)
+
+
+def k9_copy_searches():
+    """Copy searches of the path P5 in K9, by name, each taking the budget
+    keywords of enumerate_copies; the 3-uniform one is the loose path on 5
+    vertices in K7^(3)."""
+    path, k9 = ell_path(2, 1, 5), clique(2, 9)
+    core, less = path.copy_core()
+    coloring = EdgeColoring(k9, tuple(RED if (a + 2 * b) % 3 else BLUE for a, b in k9.edges))
+    loose, k7 = ell_path(3, 1, 5), clique(3, 7)
+    return {
+        "plain": lambda **kw: enumerate_copies(path, k9, **kw),
+        "less": lambda **kw: enumerate_copies(core, k9, _less=less, **kw),
+        "pins": lambda **kw: enumerate_copies(path, k9, _pins={0: 4, 3: 7}, **kw),
+        "red": lambda **kw: enumerate_copies(path, k9, coloring, RED, **kw),
+        "3-uniform": lambda **kw: enumerate_copies(loose, k7, _masks=True, **kw),
+    }
+
+
+# candidates tried by each full search, as counted by one spend() per candidate
+K9_SEARCH_COUNTS = {"plain": 28_881, "less": 14_436, "pins": 545, "red": 12_177,
+                    "3-uniform": 6_601}
+
+
+@pytest.mark.parametrize("name", sorted(K9_SEARCH_COUNTS))
+def test_copy_budget_counts_every_candidate(name):
+    search = k9_copy_searches()[name]
+    budget = Budget(10**9)
+    copies = list(search(_budget=budget))
+    assert budget.used == K9_SEARCH_COUNTS[name]
+    assert list(search(node_cap=budget.used)) == copies
+    short = Budget(budget.used - 1)
+    with pytest.raises(BudgetExceededError):
+        list(search(_budget=short))
+    assert short.used == short.cap + 1  # it raises at the first candidate over the cap
+
+
+def test_shared_copy_budget_sums_its_searches():
+    searches = k9_copy_searches()
+    budget = Budget(10**9)
+    list(searches["plain"](_budget=budget))
+    list(searches["red"](_budget=budget))
+    assert budget.used == K9_SEARCH_COUNTS["plain"] + K9_SEARCH_COUNTS["red"]
+    # a search paused at a yield while another spends the shared budget
+    # resumes with only the room that is left
+    def interleaved(cap):
+        budget = Budget(cap)
+        paused = searches["plain"](_budget=budget)
+        next(paused)
+        list(searches["pins"](_budget=budget))
+        list(paused)
+        return budget.used
+
+    both = K9_SEARCH_COUNTS["plain"] + K9_SEARCH_COUNTS["pins"]
+    assert interleaved(both) == both
+    with pytest.raises(BudgetExceededError):
+        interleaved(both - 1)
+
+
+def test_find_copy_is_charged_up_to_its_first_copy(monkeypatch):
+    # the first red C5 takes 18 candidates and the full search 3,761
+    k9 = clique(2, 9)
+    coloring = EdgeColoring(k9, tuple(RED if (a * b + a) % 6 == 0 else BLUE for a, b in k9.edges))
+    spent = []
+    spend = Budget.spend
+
+    def counted(self, amount=1):
+        spent.append(amount)
+        spend(self, amount)
+
+    monkeypatch.setattr(Budget, "spend", counted)
+    first = find_copy(cycle(5), k9, coloring, RED)
+    assert first is not None and sum(spent) == 18
+    assert find_copy(cycle(5), k9, coloring, RED, node_cap=18) == first
+    with pytest.raises(BudgetExceededError):
+        find_copy(cycle(5), k9, coloring, RED, node_cap=17)
 
 
 def test_copy_edge_masks_triangle_in_k4():
