@@ -3,13 +3,18 @@
 arrows() decides H -> G as 2-colorability of the copy hypergraph: its
 vertices are the host edges and its hyperedges the edge masks of the
 copies of G, and H -> G holds iff no 2-coloring leaves every mask
-bichromatic (Property B).  The search indexes every covered edge to the
-masks that contain it, so coloring an edge looks only at those masks: a
-mask with all edges in one color is a conflict, and a mask with no edge of
-the other color and one uncolored edge forces that edge.  It branches on
-the edges in most masks first, fixes the first one red (color-swap
-symmetry) and runs on an explicit stack.  Edges in no copy stay red, and
-every NotArrows certificate is re-checked by the copy search.
+bichromatic (Property B).  The search keeps its state bit-sliced over the
+masks, the bitboard technique of San Segundo, Rodriguez-Losada and
+Jimenez (Computers & OR 38, 2011): each covered edge has one int whose
+bit j is set iff mask j contains it, each mask's count of uncolored edges
+is held as binary digit ints, and one int per color marks the masks that
+hold that color.  Coloring an edge updates every mask through it in a few
+whole-int operations: a mask with all edges in one color is a conflict,
+and a mask with no edge of the other color and one uncolored edge forces
+that edge.  It branches on the edges in most masks first, fixes the first
+one red (color-swap symmetry) and runs on an explicit stack.  Edges in no
+copy stay red, and every NotArrows certificate is re-checked by the copy
+search.
 
 On a complete host K_n^(k) the search also uses the vertex symmetry, by
 orbital branching (Ostrowski, Linderoth, Rossi and Smriglio, Math.
@@ -61,35 +66,6 @@ class ArrowVerdict:
     nodes: int
 
 
-def _propagate(
-    colored: list[int], edges: Sequence[int], color: int, by_edge: dict[int, list[int]]
-) -> bool:
-    """Give the uncolored edges the color (0 red, 1 blue) and every color
-    they force, in place.
-
-    A mask with no edge of the other color is a conflict once all of its
-    edges have this one, and forces its last uncolored edge to the other
-    color when exactly one is left.  False on a conflict.
-    """
-    for edge in edges:
-        colored[color] |= 1 << edge
-    queue = [(edge, color) for edge in edges]
-    while queue:
-        edge, color = queue.pop()
-        not_mine, other = ~colored[color], colored[1 - color]
-        for cm in by_edge[edge]:
-            if cm & other:
-                continue
-            rest = cm & not_mine
-            if not rest:
-                return False
-            if not rest & (rest - 1):
-                other |= rest
-                queue.append((rest.bit_length() - 1, 1 - color))
-        colored[1 - color] = other
-    return True
-
-
 def _two_color(
     masks: list[int], budget: Budget, edge_vertices: Sequence[int] = ()
 ) -> Optional[int]:
@@ -102,54 +78,102 @@ def _two_color(
     point before the next edge is chosen.  budget.spend() runs once per
     decision node.
 
+    Propagation works on ints over the masks, bit j standing for
+    masks[j]: by_edge[e] holds the masks through edge e, digit ints hold
+    each mask's count of edges not yet propagated, and one int per color
+    the masks with a propagated edge of that color.  Propagating e in
+    color c subtracts by_edge[e] from the count and ORs it into c's int.
+    Of the masks through e with no edge of the other color, one left at
+    count 0 is a conflict, and one at count 1 has its last edge either
+    uncolored (it is forced to the other color), queued in the other
+    color (the mask is satisfied) or queued in c (a conflict).  A node's
+    ints are never changed in place, so its children share them.
+
     edge_vertices, the vertex bitmask of every host edge, is given for a
     complete host only: then a node whose edge e has a vertex outside the
     colored edges' vertices S branches "e red" against "every edge f with
     f & S == e & S blue" (its orbit under the permutations fixing S).
     """
-    by_edge: dict[int, list[int]] = {}
-    for cm in masks:
-        rest = cm
-        while rest:
-            low = rest & -rest
-            by_edge.setdefault(low.bit_length() - 1, []).append(cm)
-            rest ^= low
-    order = sorted(by_edge, key=lambda e: (-len(by_edge[e]), e))
-    if not order:
+    span = max(masks, default=0).bit_length()
+    if not span:
         return 0
-    # a pending branch: colors so far, the vertices of the colored edges,
-    # the position in order of the edge branched on, the color to give and
-    # the edges to give it to
+    # transpose in C-level passes: each mask's size (at most span) above
+    # its edges, as bin() text with a leading 1 for a fixed width;
+    # reversed, each row reads from bit 0 up and the rows run from the
+    # last mask to the first, so every (width + 3)-th character from i on
+    # is column i: the masks through edge i, or count digit i - span
+    width = span + span.bit_length()
+    top = 1 << width
+    rows = "".join([bin(top | cm.bit_count() << span | cm) for cm in masks])[::-1]
+    by_edge = [int(rows[i :: width + 3], 2) for i in range(width)]
+    degree = list(map(int.bit_count, by_edge))
+    order = sorted(
+        filter(degree.__getitem__, range(span)), key=degree.__getitem__, reverse=True
+    )
+    end = len(order)
+    # a pending branch: the child's state [red edges, blue edges (queued
+    # ones included), masks with a propagated red edge, masks with a
+    # propagated blue edge, count digits from the lowest], the vertices of
+    # the colored edges, the position in order of the edge branched on and
+    # the queue of (edge, color) to propagate
     budget.spend()
-    stack = [(0, 0, 0, 0, 0, (order[0],))]
+    stack = [([1 << order[0], 0, 0, 0, *by_edge[span:]], 0, 0, [(order[0], 0)])]
     while stack:
-        red, blue, touched, pos, color, edges = stack.pop()
-        colored = [red, blue]
-        if not _propagate(colored, edges, color, by_edge):
-            continue
-        if edge_vertices:
-            new = (colored[0] | colored[1]) ^ (red | blue)
-            while new:
-                low = new & -new
-                touched |= edge_vertices[low.bit_length() - 1]
-                new ^= low
-        red, blue = colored
-        done = red | blue
-        while pos < len(order) and done >> order[pos] & 1:
-            pos += 1
-        if pos == len(order):
-            return blue
-        budget.spend()
-        edge = order[pos]
-        orbit = (edge,)
-        if edge_vertices and edge_vertices[edge] & ~touched:
-            # every edge meeting S as edge does is uncolored, at pos or later
-            inside = edge_vertices[edge] & touched
-            orbit = tuple(
-                f for f in order[pos:] if edge_vertices[f] & touched == inside
-            )
-        stack.append((red, blue, touched, pos, 1, orbit))
-        stack.append((red, blue, touched, pos, 0, (edge,)))
+        state, touched, pos, queue = stack.pop()
+        while queue:
+            edge, c = queue.pop()
+            if edge_vertices:
+                touched |= edge_vertices[edge]
+            through = borrow = by_edge[edge]
+            i = 4
+            while borrow:
+                state[i] = digit = state[i] ^ borrow
+                borrow &= digit
+                i += 1
+            state[2 + c] |= through
+            # x ^ x & y, not x & ~y: a negative int makes & several times slower
+            live = through ^ through & state[3 - c]
+            if not live:
+                continue
+            for digit in state[5:]:
+                live ^= live & digit
+            forced = live & state[4]
+            if forced != live:
+                break  # a mask with all its edges in color c
+            while forced:
+                cm = masks[forced.bit_length() - 1]
+                last = cm & state[1 - c]
+                if not last:
+                    last = cm & ~state[c]
+                    if not last:
+                        break
+                    state[1 - c] |= last
+                    queue.append((last.bit_length() - 1, 1 - c))
+                # every mask left with this last edge is settled with it
+                forced ^= forced & by_edge[last.bit_length() - 1]
+            if forced:
+                break
+        else:
+            done = state[0] | state[1]
+            while pos < end and done >> order[pos] & 1:
+                pos += 1
+            if pos == end:
+                return state[1]
+            budget.spend()
+            edge = order[pos]
+            blue = state[:]
+            orbit = [(edge, 1)]
+            if edge_vertices and edge_vertices[edge] & ~touched:
+                # every edge meeting S as edge does is uncolored, at pos or later
+                inside = edge_vertices[edge] & touched
+                orbit = [
+                    (f, 1) for f in order[pos:] if edge_vertices[f] & touched == inside
+                ]
+            for f, _ in orbit:
+                blue[1] |= 1 << f
+            stack.append((blue, touched, pos, orbit))
+            state[0] |= 1 << edge
+            stack.append((state, touched, pos, [(edge, 0)]))
     return None
 
 

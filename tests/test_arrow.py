@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -158,6 +159,38 @@ def minus_edges(host, drop):
 def test_node_counts_are_pinned(host, pattern, result, nodes):
     v = arrows(host, pattern)
     assert (v.result, v.nodes) == (result, nodes)
+
+
+def seeded_arrow_corpus():
+    """About 150 seeded arrows calls: complete and non-complete hosts,
+    k = 2 and 3, node caps of 1 to 3 as well as the default."""
+    rng = random.Random(2109)
+    for i in range(150):
+        k = 3 if i % 3 == 0 else 2
+        host = clique(k, rng.randint(k + 2, 6 if k == 3 else 8))
+        if i % 2:
+            drop = rng.sample(host.edges, rng.randint(1, 3))
+            host = minus_edges(host, drop)
+        pn = rng.randint(k + 1, k + 3)
+        ppool = list(itertools.combinations(range(pn), k))
+        pattern = KUniformHypergraph.from_edges(
+            k, pn, rng.sample(ppool, rng.randint(2, min(6, len(ppool))))
+        )
+        cap = rng.choice((1, 2, 3, None, None))
+        yield host, pattern, cap
+
+
+def test_seeded_corpus_is_pinned():
+    # verdicts, node counts and certificates of the corpus, as one digest
+    entries = []
+    for host, pattern, cap in seeded_arrow_corpus():
+        v = arrows(host, pattern) if cap is None else arrows(host, pattern, node_cap=cap)
+        colors = v.certificate.colors if v.certificate else None
+        entries.append((v.result.value, v.nodes, colors))
+    assert len(entries) == 150
+    assert len({e[0] for e in entries}) == 3
+    digest = hashlib.sha256(repr(entries).encode()).hexdigest()[:16]
+    assert digest == "5ae110f4beda6d90"
 
 
 def test_k10_k4e_fits_the_frontier_budget():
@@ -384,6 +417,74 @@ def test_orbital_branching_matches_the_plain_search(data):
         if v.result == ArrowResult.NOT_ARROWS:
             assert find_copy(pattern, h, v.certificate, RED) is None
             assert find_copy(pattern, h, v.certificate, BLUE) is None
+
+
+def proper_colorings(masks):
+    """Every blue set over the covered edges that leaves each mask
+    bichromatic, by a walk over all 2^E subsets."""
+    covered = 0
+    for cm in masks:
+        covered |= cm
+    blue = 0
+    while True:
+        if all(cm & blue and cm & ~blue for cm in masks):
+            yield blue
+        if blue == covered:
+            return
+        blue = (blue - covered) & covered  # the next subset of covered
+
+
+@st.composite
+def raw_mask_sets(draw):
+    edges = draw(st.lists(st.integers(0, 15), min_size=1, max_size=12, unique=True))
+    masks = draw(st.lists(
+        st.sets(st.sampled_from(edges), min_size=1, max_size=5), min_size=1, max_size=20
+    ))
+    return [sum(1 << e for e in m) for m in masks]
+
+
+@settings(max_examples=300, deadline=None)
+@given(masks=raw_mask_sets(), cap=st.integers(1, 1 << 12))
+def test_two_color_matches_the_exhaustive_walk(masks, cap):
+    budget = Budget(cap)
+    try:
+        blue = arrow_module._two_color(masks, budget)
+    except BudgetExceededError:
+        assert budget.used == cap + 1
+        return
+    assert budget.used <= cap
+    if blue is None:
+        assert next(proper_colorings(masks), None) is None
+    else:
+        assert all(cm & blue and cm & ~blue for cm in masks)
+        assert blue in set(proper_colorings(masks))  # no uncovered edge is blue
+
+
+def star_masks(n):
+    """The copy masks of K1,3 in K_n, and the vertex bitmask of each edge."""
+    host = clique(2, n)
+    index = {e: i for i, e in enumerate(host.edges)}
+    masks = [
+        sum(1 << index[tuple(sorted((c, x)))] for x in leaves)
+        for c in range(n)
+        for leaves in itertools.combinations([x for x in range(n) if x != c], 3)
+    ]
+    return masks, [sum(1 << v for v in e) for e in host.edges]
+
+
+def test_blue_orbit_closing_a_mask_is_a_conflict():
+    # K6 -> K1,3: beside the red (0, 1), the first blue orbit is the four
+    # edges (0, x), x > 1, and its own edges hold four stars, so the step
+    # that queues them all blue must find those stars monochromatic
+    masks, edge_vertices = star_masks(6)
+    budget = Budget(100)
+    assert arrow_module._two_color(masks, budget, edge_vertices) is None
+    assert budget.used == 2
+    assert next(proper_colorings(masks), None) is None
+    # K5 does not arrow K1,3
+    masks, edge_vertices = star_masks(5)
+    blue = arrow_module._two_color(masks, Budget(100), edge_vertices)
+    assert blue in set(proper_colorings(masks))
 
 
 # -- degree threshold -------------------------------------------------------
