@@ -33,7 +33,8 @@ from .constructions import (
     random_gadget,
     star_tree,
 )
-from .errors import ARROWS_NODE_CAP, COPY_NODE_CAP, BudgetExceededError, CapsTooSmallError
+from .errors import ARROWS_NODE_CAP, COPY_NODE_CAP, EXACT_ECAP, EXACT_VCAP, MAX_HOST_EDGES
+from .errors import BudgetExceededError, CapsTooSmallError
 from .hypergraph import (
     BLUE,
     RED,
@@ -287,8 +288,7 @@ def _cmd_size_ramsey(args) -> int:
         strategies = (
             tuple(args.strategies.split(",")) if args.strategies else ALL_STRATEGIES
         )
-        options = {"strategies": strategies, "ramsey_cap": args.ramsey_cap,
-                   "max_host_edges": args.max_host_edges}
+        options = {"strategies": strategies, "max_host_edges": args.max_host_edges}
         bound = size_ramsey_upper(pattern, **options, node_cap=args.budget, seed=seed)
     else:
         options = {"vcap": args.vcap, "ecap": args.ecap}
@@ -429,10 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", choices=("upper", "exact"))
     p.add_argument("--pattern", required=True)
     p.add_argument("--strategies", help="comma list (upper mode)")
-    p.add_argument("--ramsey-cap", type=int, default=8)
-    p.add_argument("--max-host-edges", type=int, default=18)
-    p.add_argument("--vcap", type=int, default=9)
-    p.add_argument("--ecap", type=int, default=12)
+    p.add_argument("--max-host-edges", type=int, default=MAX_HOST_EDGES)
+    p.add_argument("--vcap", type=int, default=EXACT_VCAP)
+    p.add_argument("--ecap", type=int, default=EXACT_ECAP)
     p.add_argument("--budget", type=int, default=ARROWS_NODE_CAP)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")

@@ -18,14 +18,9 @@ from .constructions import (
     find_ell_tree_order,
     greedy_partial_steiner,
 )
-from .embedding import stabiliser_orbits
-from .errors import (
-    ARROWS_NODE_CAP,
-    COPY_NODE_CAP,
-    Budget,
-    BudgetExceededError,
-    CapsTooSmallError,
-)
+from .embedding import _edge_core, stabiliser_orbits
+from .errors import ARROWS_NODE_CAP, COPY_NODE_CAP, EXACT_ECAP, EXACT_VCAP, MAX_HOST_EDGES
+from .errors import Budget, BudgetExceededError, CapsTooSmallError
 from .hypergraph import KUniformHypergraph, are_isomorphic
 
 ALL_STRATEGIES = ("clique-host", "steiner-host", "blowup-host", "random-host")
@@ -44,10 +39,18 @@ class SizeRamseyBound:
             raise ValueError("lower bound exceeds upper bound")
 
 
-def _clique_hosts(pattern: KUniformHypergraph, cap: int) -> Iterator[KUniformHypergraph]:
-    """The complete k-graphs on max(n_G, k) .. cap vertices: the Ramsey ladder."""
-    for n in range(max(pattern.n, pattern.k), cap + 1):
-        yield clique(pattern.k, n)
+def _cliques(k: int, start: int, max_edges: int) -> Iterator[KUniformHypergraph]:
+    """K_start, K_start+1, ... while C(n, k) <= max_edges, read before K_n is built."""
+    n = start
+    while math.comb(n, k) <= max_edges:
+        yield clique(k, n)
+        n += 1
+
+
+def _padded(host: KUniformHypergraph, n: int) -> KUniformHypergraph:
+    """host with isolated vertices added up to n vertices.  H arrows G iff H
+    arrows the core of G, its edge-covered part, and has at least n_G vertices."""
+    return host if host.n >= n else KUniformHypergraph(host.k, n, host.edges)
 
 
 def _below_floor(host: KUniformHypergraph, pattern: KUniformHypergraph) -> bool:
@@ -81,7 +84,11 @@ def ramsey_number_small(
 ) -> Optional[int]:
     """Least N <= cap with complete-host arrowing, or None when no N <= cap
     arrows.  Raises BudgetExceededError when the budget runs out first."""
-    host = _first_arrowing(_clique_hosts(pattern, cap), pattern, node_cap)
+    if not pattern.edges:
+        # K_N holds the edgeless pattern iff N >= n_G, also when N < k
+        return pattern.n if pattern.n <= cap else None
+    ladder = (clique(pattern.k, n) for n in range(pattern.n, cap + 1))
+    host = _first_arrowing(ladder, pattern, node_cap)
     return None if host is None else host.n
 
 
@@ -95,30 +102,27 @@ def size_ramsey_upper(
     pattern: KUniformHypergraph,
     strategies: tuple[str, ...] = ALL_STRATEGIES,
     node_cap: int = ARROWS_NODE_CAP,
-    ramsey_cap: int = 8,
-    max_host_edges: int = 18,
+    max_host_edges: int = MAX_HOST_EDGES,
     seed: int = 0,
 ) -> SizeRamseyBound:
     """Best verified upper bound over the requested host strategies.
 
-    Each strategy is a stream of hosts, taken in the order clique, blow-up,
-    Steiner, random.  The arrow decision is exhaustive, so a stream ends at
-    its first host over max_host_edges, before any search: clique and
-    blow-up hosts grow along their ladders, a greedy Steiner packing on more
-    vertices is seldom smaller, and random hosts are drawn within the cap.
-    A host with no fewer edges than the best so far is skipped, and every
-    other distinct host above the floor is decided once.  When no strategy
-    verifies, the bound carries the lower bound only.
+    Each strategy is a stream of hosts for the pattern's core, taken in the
+    order clique, blow-up, Steiner, random.  The arrow decision is
+    exhaustive, so no host over max_host_edges is decided: the clique and
+    blow-up ladders stop before they build one, the Steiner stream ends at
+    its first (a packing on more vertices is seldom smaller), and random
+    hosts are drawn within the cap.  A host with no fewer edges than the
+    best so far is skipped, and every other distinct host above the floor
+    is decided once.  The witness gets the pattern's isolated vertices.
+    When no strategy verifies, the bound carries the lower bound only.
     """
     unknown = [s for s in strategies if s not in ALL_STRATEGIES]
     if unknown:
         raise ValueError(f"unknown strategies: {unknown}")
     _require_edges(pattern)
-    if ramsey_cap < 0 or max_host_edges < 0:
-        raise ValueError(
-            f"caps must be non-negative, got ramsey_cap={ramsey_cap}, "
-            f"max_host_edges={max_host_edges}"
-        )
+    if max_host_edges < 0:
+        raise ValueError(f"the edge cap must be non-negative, got max_host_edges={max_host_edges}")
     lower = pattern.num_edges
     if lower > max_host_edges:
         # a host with fewer edges than the pattern holds no copy of it
@@ -126,11 +130,12 @@ def size_ramsey_upper(
     best: Optional[KUniformHypergraph] = None
     methods: dict = {}
     tried: set[KUniformHypergraph] = set()
+    _, core = _edge_core(pattern)
     streams = (
-        ("clique-host", _clique_hosts(pattern, ramsey_cap)),
-        ("blowup-host", _blowup_hosts(pattern, ramsey_cap)),
-        ("steiner-host", _steiner_hosts(pattern, seed)),
-        ("random-host", _random_hosts(pattern, max_host_edges, seed)),
+        ("clique-host", _cliques(core.k, core.n, max_host_edges)),
+        ("blowup-host", _blowup_hosts(core, max_host_edges)),
+        ("steiner-host", _steiner_hosts(core, seed)),
+        ("random-host", _random_hosts(core, max_host_edges, seed)),
     )
     for name, hosts in streams:
         if name not in strategies:
@@ -140,17 +145,17 @@ def size_ramsey_upper(
                 break
             if best is not None and host.num_edges >= best.num_edges:
                 continue
-            if host in tried or _below_floor(host, pattern):
+            if host in tried or _below_floor(host, core):
                 continue
             tried.add(host)
-            if arrows(host, pattern, node_cap).result == ArrowResult.ARROWS:
+            if arrows(host, core, node_cap).result == ArrowResult.ARROWS:
                 methods[name] = host.num_edges
                 best = host
     if best is None:
         return SizeRamseyBound(lower, None, None, methods=methods)
-    if _first_arrowing((best,), pattern, node_cap) is None:
+    if _first_arrowing((best,), core, node_cap) is None:
         raise AssertionError("witness host failed re-verification")
-    return SizeRamseyBound(lower, best.num_edges, best, methods=methods)
+    return SizeRamseyBound(lower, best.num_edges, _padded(best, pattern.n), methods=methods)
 
 
 def _detect_ell_path(pattern: KUniformHypergraph) -> Optional[int]:
@@ -167,15 +172,15 @@ def _detect_ell_path(pattern: KUniformHypergraph) -> Optional[int]:
     return None
 
 
-def _blowup_hosts(pattern: KUniformHypergraph, ramsey_cap: int) -> Iterator[KUniformHypergraph]:
+def _blowup_hosts(pattern: KUniformHypergraph, max_host_edges: int) -> Iterator[KUniformHypergraph]:
     ell = _detect_ell_path(pattern)
     if ell is None or ell > pattern.k // 2:
         return
     # the blow-up of K_n holds a monochromatic ell-path exactly when K_n holds
     # a monochromatic graph path with the same edge count, so walk the graph
-    # path's Ramsey ladder
-    for n in range(pattern.num_edges + 1, ramsey_cap + 1):
-        yield blowup_path_host(clique(2, n), pattern.k, ell)
+    # path's Ramsey ladder; a blow-up keeps K_n's edge count
+    for graph in _cliques(2, pattern.num_edges + 1, max_host_edges):
+        yield blowup_path_host(graph, pattern.k, ell)
 
 
 def _steiner_hosts(pattern: KUniformHypergraph, seed: int) -> Iterator[KUniformHypergraph]:
@@ -300,24 +305,27 @@ def enumerate_hosts(k: int, max_edges: int, vcap: int) -> Iterator[KUniformHyper
 
 def size_ramsey_exact_tiny(
     pattern: KUniformHypergraph,
-    vcap: int = 9,
-    ecap: int = 12,
+    vcap: int = EXACT_VCAP,
+    ecap: int = EXACT_ECAP,
     node_cap: int = ARROWS_NODE_CAP,
 ) -> SizeRamseyBound:
     """Exact size-Ramsey number under the stated host caps.
 
     Scans hosts by increasing edge count and returns the first count that
-    admits an arrowing host; the caps ride along in the result so callers
-    cannot overclaim exactness.  An Unknown verdict on any host raises
-    BudgetExceededError: that host might arrow, so no count is exact.
+    admits a host arrowing the pattern's core; the witness then gets the
+    pattern's isolated vertices, within vcap since n_G <= vcap.  The caps
+    ride along in the result so callers cannot overclaim exactness.  An
+    Unknown verdict on any host raises BudgetExceededError: that host might
+    arrow, so no count is exact.
     """
     _require_edges(pattern)
     if vcap < 0 or ecap < 0:
         raise ValueError(f"caps must be non-negative, got vcap={vcap}, ecap={ecap}")
     if pattern.n > vcap:
         raise CapsTooSmallError(f"the pattern has more than vcap={vcap} vertices")
-    host = _first_arrowing(enumerate_hosts(pattern.k, ecap, vcap), pattern, node_cap)
+    _, core = _edge_core(pattern)
+    host = _first_arrowing(enumerate_hosts(pattern.k, ecap, vcap), core, node_cap)
     if host is None:
         raise CapsTooSmallError(f"no arrowing host with <= {ecap} edges on <= {vcap} vertices")
     m = host.num_edges
-    return SizeRamseyBound(m, m, host, caps={"vcap": vcap, "ecap": ecap})
+    return SizeRamseyBound(m, m, _padded(host, pattern.n), caps={"vcap": vcap, "ecap": ecap})

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import json
 import random
@@ -7,10 +8,11 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ramseyforge.cli import _CONSTRUCTORS, _random_coloring, main
+from ramseyforge.cli import _CONSTRUCTORS, _random_coloring, build_parser, main
 from ramseyforge.constructions import clique, ell_path
 from ramseyforge.errors import ExhaustedPermutationsError
 from ramseyforge.hypergraph import BLUE, RED, KUniformHypergraph
+from ramseyforge.search import size_ramsey_exact_tiny, size_ramsey_upper
 
 
 def write_hg(path, h):
@@ -184,6 +186,18 @@ def test_size_ramsey_exact_budget_exit(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("budget exhausted:")
 
 
+@pytest.mark.parametrize("mode, library, options", [
+    ("upper", size_ramsey_upper, {"max_host_edges": "max_host_edges", "budget": "node_cap"}),
+    ("exact", size_ramsey_exact_tiny, {"vcap": "vcap", "ecap": "ecap", "budget": "node_cap"}),
+])
+def test_size_ramsey_defaults_are_the_library_defaults(mode, library, options):
+    # each cap default is stated once; the parser and the library read it
+    args = build_parser().parse_args(["size-ramsey", mode, "--pattern", "p.json"])
+    params = inspect.signature(library).parameters
+    for option, param in options.items():
+        assert getattr(args, option) == params[param].default, option
+
+
 def test_size_ramsey_config_records_mode_options(tmp_path):
     k3 = write_hg(tmp_path / "k3.json", clique(2, 3))
     reports = []
@@ -193,7 +207,7 @@ def test_size_ramsey_config_records_mode_options(tmp_path):
                      "clique-host", "--max-host-edges", cap, "--out", str(rep)]) == 0
         reports.append(load(rep))
     assert reports[0]["config"] == {
-        "pattern": k3, "strategies": ["clique-host"], "ramsey_cap": 8,
+        "pattern": k3, "strategies": ["clique-host"],
         "max_host_edges": 15, "budget": reports[0]["config"]["budget"],
     }
     assert reports[0]["config"] != reports[1]["config"]
@@ -232,7 +246,7 @@ def test_report_texts_are_pinned(tmp_path):
             "version": "0.1.0", "command": "size-ramsey upper",
             "config": {"pattern": p4, "strategies": ["clique-host", "steiner-host",
                                                      "blowup-host", "random-host"],
-                       "ramsey_cap": 8, "max_host_edges": 18, "budget": budget},
+                       "max_host_edges": 18, "budget": budget},
             "seed": 1, "lower": 3, "upper": 8,
             "witness_host": {"k": 2, "n": 7, "edges": _UPPER_WITNESS},
             "methods": {"clique-host": 10, "random-host": 8}, "caps": {},
@@ -443,8 +457,7 @@ _FUZZ_COMMANDS = [
     ["color", "degree-threshold", "--host", "H", "--n", "4"],
     ["color", "vhigh-vlow", "--host", "H"],
     ["ramsey", "--pattern", "P", "--cap", "5", "--budget", "500"],
-    ["size-ramsey", "upper", "--pattern", "P", "--ramsey-cap", "5",
-     "--max-host-edges", "6", "--budget", "500"],
+    ["size-ramsey", "upper", "--pattern", "P", "--max-host-edges", "6", "--budget", "500"],
     ["size-ramsey", "exact", "--pattern", "P", "--vcap", "5", "--ecap", "4",
      "--budget", "500"],
     ["randomlab", "pipeline", "--n", "8", "--p", "0.6", "--m", "2",
@@ -484,7 +497,7 @@ def test_fuzzed_input_files_exit_cleanly(tmp_path, capsys, host, pattern, colori
     ["randomlab", "pipeline", "--n", "0", "--d", "1", "--m", "2"],
     ["size-ramsey", "exact", "--pattern", "K3", "--vcap", "-3"],
     ["size-ramsey", "exact", "--pattern", "K3", "--ecap", "-3"],
-    ["size-ramsey", "upper", "--pattern", "K3", "--ramsey-cap", "-3"],
+    ["randomlab", "pipeline", "--n", "8", "--p", "1.5", "--m", "2"],
     ["size-ramsey", "upper", "--pattern", "K3", "--max-host-edges", "-3"],
 ])
 def test_bad_numbers_exit_with_one_line(tmp_path, capsys, argv):
@@ -501,6 +514,7 @@ def test_bad_numbers_exit_with_one_line(tmp_path, capsys, argv):
     ["construct", "no-such-kind"],
     ["no-such-command"],
     [],
+    ["size-ramsey", "upper", "--pattern", "p.json", "--ramsey-cap", "5"],
 ])
 def test_usage_errors_exit_1(capsys, argv):
     # argparse's own exit code is 2, which is kept for exhausted budgets

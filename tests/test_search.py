@@ -74,13 +74,9 @@ def test_size_ramsey_upper_pattern_over_the_edge_cap():
         assert (bound.lower, bound.upper, bound.witness_host) == (7, None, None)
 
 
-@pytest.mark.parametrize("caps, named", [
-    ({"ramsey_cap": -1}, "ramsey_cap=-1"),
-    ({"max_host_edges": -1}, "max_host_edges=-1"),
-])
-def test_size_ramsey_upper_negative_caps(caps, named):
-    with pytest.raises(ValueError, match=named):
-        size_ramsey_upper(clique(2, 3), **caps)
+def test_size_ramsey_upper_negative_caps():
+    with pytest.raises(ValueError, match="max_host_edges=-1"):
+        size_ramsey_upper(clique(2, 3), max_host_edges=-1)
 
 
 @pytest.mark.parametrize("k, ell, n", [
@@ -115,19 +111,52 @@ def _recording_arrows(monkeypatch, max_edges=None):
     return decided
 
 
+def _capped_clique(monkeypatch, max_edges):
+    """Record the n of each clique search.clique builds; raise, before
+    building it, on one with more than max_edges edges."""
+    built = []
+    real_clique = search.clique
+
+    def capped(k, n):
+        if math.comb(n, k) > max_edges:
+            raise AssertionError(f"built K_{n}^({k}), with {math.comb(n, k)} edges")
+        built.append(n)
+        return real_clique(k, n)
+
+    monkeypatch.setattr(search, "clique", capped)
+    return built
+
+
 @pytest.mark.parametrize("pattern, first_over", [(clique(2, 4), 7), (ell_path(2, 1, 8), 8)])
 def test_size_ramsey_upper_searches_no_host_over_the_edge_cap(monkeypatch, pattern, first_over):
     # K7 is the first clique with more than 18 edges; the clique and blow-up
     # streams of the 7-edge path start at K8
     decided = _recording_arrows(monkeypatch, max_edges=18)
-    built = []
-    real_clique = search.clique
-    monkeypatch.setattr(search, "clique", lambda k, n: built.append(n) or real_clique(k, n))
-    bound = size_ramsey_upper(pattern, ramsey_cap=12)
+    built = _capped_clique(monkeypatch, 18)
+    bound = size_ramsey_upper(pattern)
     assert (bound.upper, bound.witness_host, bound.methods) == (None, None, {})
     assert decided
-    # each stream ends at its first host over the cap
-    assert max(built) == first_over
+    # the ladders build every clique below the first over the cap, and no other
+    assert built == list(range(pattern.n, first_over))
+
+
+@pytest.mark.parametrize("edges, strategy, cap", [
+    (1200, "clique-host", 1300), (20, "blowup-host", 30),
+])
+def test_host_ladders_stop_before_building_a_host_over_the_cap(monkeypatch, edges, strategy, cap):
+    # the loose 3-path with 1,200 edges has 2,401 vertices, and K_2401^(3)
+    # has about 2.3e9 edges; the 20-edge path's blow-up ladder starts at K21
+    # with 210 edges.  An open ladder fails here rather than hang
+    built = _capped_clique(monkeypatch, cap)
+    bound = size_ramsey_upper(ell_path(3, 1, 2 * edges + 1), (strategy,), max_host_edges=cap)
+    assert (bound.lower, bound.upper, built) == (edges, None, [])
+
+
+def test_size_ramsey_upper_clique_ladder_has_no_vertex_cap():
+    # R(C5) = 9, and K9 has 36 edges: the edge cap alone ends the ladder
+    c5 = KUniformHypergraph.from_edges(2, 5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    bound = size_ramsey_upper(c5, ("clique-host",), max_host_edges=40)
+    assert (bound.upper, bound.methods, bound.witness_host) == (36, {"clique-host": 36}, clique(2, 9))
 
 
 def test_size_ramsey_upper_goes_past_an_unknown_host(monkeypatch):
@@ -438,6 +467,45 @@ def test_size_ramsey_exact_tiny_p3():
     bound = size_ramsey_exact_tiny(p3, vcap=6, ecap=4)
     assert bound.lower == bound.upper == 3
     assert are_isomorphic(bound.witness_host, clique(2, 3))
+
+
+_P3_PLUS_5 = KUniformHypergraph(2, 8, ((0, 1), (1, 2)))  # P3 and 5 isolated vertices
+
+
+def test_isolated_pattern_vertices_cost_no_edges():
+    # K_{1,3} or K3 padded to 8 vertices has 3 edges and arrows the pattern:
+    # the isolated pattern vertices need host vertices, not host edges
+    exact = size_ramsey_exact_tiny(_P3_PLUS_5, vcap=9, ecap=8)
+    upper = size_ramsey_upper(_P3_PLUS_5, seed=1)
+    assert (exact.lower, upper.lower) == (3, 2)
+    for bound in (exact, upper):
+        assert (bound.upper, bound.witness_host.n) == (3, 8)
+        assert arrows(bound.witness_host, _P3_PLUS_5).result == ArrowResult.ARROWS
+
+
+def _with_isolated(pattern, t):
+    return KUniformHypergraph(pattern.k, pattern.n + t, pattern.edges)
+
+
+@pytest.mark.parametrize("pattern, vcap, ecap", [
+    (ell_path(2, 1, 3), 6, 4), (_STAR3, 6, 7), (ell_path(2, 1, 4), 7, 7),
+    (KUniformHypergraph(3, 3, ((0, 1, 2),)), 5, 2), (ell_path(3, 1, 5), 7, 3),
+], ids=["P3", "K1,3", "P4", "edge3", "loose2"])
+def test_exact_value_ignores_isolated_pattern_vertices(pattern, vcap, ecap):
+    value = size_ramsey_exact_tiny(pattern, vcap, ecap).upper
+    for t in range(1, vcap - pattern.n + 1):
+        bound = size_ramsey_exact_tiny(_with_isolated(pattern, t), vcap, ecap)
+        assert bound.upper == value and bound.witness_host.n >= pattern.n + t
+
+
+def test_ramsey_number_of_an_edgeless_pattern_is_its_order():
+    # K_N^(k) holds the edgeless pattern once N >= n_G, also when N < k
+    for k, n in ((3, 1), (3, 0), (2, 1), (3, 4)):
+        assert ramsey_number_small(KUniformHypergraph(k, n, ()), 5) == n
+    assert ramsey_number_small(KUniformHypergraph(3, 4, ()), 3) is None
+    # isolated vertices of a pattern with edges only raise the order
+    assert ramsey_number_small(_with_isolated(ell_path(2, 1, 3), 2), 6) == 5
+    assert ramsey_number_small(_with_isolated(ell_path(2, 1, 3), 1), 6) == 4
 
 
 def _arrows_by_brute_force(host, pattern):
