@@ -46,12 +46,7 @@ from .hypergraph import (
 )
 from .embedding import find_copy
 from .randomlab import GnpParams, clique_stats, gnp, iterated_procedure, vertex_hits
-from .search import (
-    ALL_STRATEGIES,
-    ramsey_number_small,
-    size_ramsey_exact_tiny,
-    size_ramsey_upper,
-)
+from .search import ramsey_number_small, size_ramsey_exact_tiny, size_ramsey_upper
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -283,14 +278,12 @@ def _cmd_ramsey(args) -> int:
 
 def _cmd_size_ramsey(args) -> int:
     pattern = _load_hypergraph(args.pattern)
-    seed = _resolve_seed(args.seed)
     if args.mode == "upper":
-        strategies = (
-            tuple(args.strategies.split(",")) if args.strategies else ALL_STRATEGIES
-        )
-        options = {"strategies": strategies, "max_host_edges": args.max_host_edges}
+        seed = _resolve_seed(args.seed)
+        options = {"max_host_edges": args.max_host_edges}
         bound = size_ramsey_upper(pattern, **options, node_cap=args.budget, seed=seed)
     else:
+        seed = None
         options = {"vcap": args.vcap, "ecap": args.ecap}
         bound = size_ramsey_exact_tiny(pattern, **options, node_cap=args.budget)
     config = {"pattern": args.pattern, **options, "budget": args.budget}
@@ -426,16 +419,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ramsey)
 
     p = sub.add_parser("size-ramsey", help="size-Ramsey bounds with witnesses")
-    p.add_argument("mode", choices=("upper", "exact"))
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--strategies", help="comma list (upper mode)")
-    p.add_argument("--max-host-edges", type=int, default=MAX_HOST_EDGES)
-    p.add_argument("--vcap", type=int, default=EXACT_VCAP)
-    p.add_argument("--ecap", type=int, default=EXACT_ECAP)
-    p.add_argument("--budget", type=int, default=ARROWS_NODE_CAP)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_size_ramsey)
+    modes = p.add_subparsers(dest="mode", required=True)
+    upper = modes.add_parser("upper", help="best bound over the host streams")
+    exact = modes.add_parser("exact", help="exact value under host caps")
+    for mode in (upper, exact):
+        mode.add_argument("--pattern", required=True)
+        mode.add_argument("--budget", type=int, default=ARROWS_NODE_CAP)
+        mode.add_argument("--out")
+        mode.set_defaults(func=_cmd_size_ramsey)
+    upper.add_argument("--max-host-edges", type=int, default=MAX_HOST_EDGES)
+    upper.add_argument("--seed", type=int)
+    exact.add_argument("--vcap", type=int, default=EXACT_VCAP)
+    exact.add_argument("--ecap", type=int, default=EXACT_ECAP)
 
     p = sub.add_parser("randomlab", help="random clique-host experiment pipeline")
     p.add_argument("mode", choices=("pipeline",))

@@ -43,6 +43,8 @@ class Budget:
     __slots__ = ("cap", "used")
 
     def __init__(self, cap: int):
+        if cap < 0:
+            raise ValueError(f"a search budget must be non-negative, got {cap}")
         self.cap = cap
         self.used = 0
 

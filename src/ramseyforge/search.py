@@ -23,15 +23,13 @@ from .errors import ARROWS_NODE_CAP, COPY_NODE_CAP, EXACT_ECAP, EXACT_VCAP, MAX_
 from .errors import Budget, BudgetExceededError, CapsTooSmallError
 from .hypergraph import KUniformHypergraph, are_isomorphic
 
-ALL_STRATEGIES = ("clique-host", "steiner-host", "blowup-host", "random-host")
-
 
 @dataclass
 class SizeRamseyBound:
     lower: int
     upper: Optional[int]
     witness_host: Optional[KUniformHypergraph]
-    methods: dict = field(default_factory=dict)  # strategy -> edge count
+    methods: dict = field(default_factory=dict)  # host stream -> edge count
     caps: dict = field(default_factory=dict)  # recorded search caps, exact mode
 
     def __post_init__(self):
@@ -84,6 +82,8 @@ def ramsey_number_small(
 ) -> Optional[int]:
     """Least N <= cap with complete-host arrowing, or None when no N <= cap
     arrows.  Raises BudgetExceededError when the budget runs out first."""
+    if cap < 0:
+        raise ValueError(f"the vertex cap must be non-negative, got cap={cap}")
     if not pattern.edges:
         # K_N holds the edgeless pattern iff N >= n_G, also when N < k
         return pattern.n if pattern.n <= cap else None
@@ -100,26 +100,23 @@ def _require_edges(pattern: KUniformHypergraph) -> None:
 
 def size_ramsey_upper(
     pattern: KUniformHypergraph,
-    strategies: tuple[str, ...] = ALL_STRATEGIES,
     node_cap: int = ARROWS_NODE_CAP,
     max_host_edges: int = MAX_HOST_EDGES,
     seed: int = 0,
 ) -> SizeRamseyBound:
-    """Best verified upper bound over the requested host strategies.
+    """Best verified upper bound over four host streams.
 
-    Each strategy is a stream of hosts for the pattern's core, taken in the
-    order clique, blow-up, Steiner, random.  The arrow decision is
-    exhaustive, so no host over max_host_edges is decided: the clique and
-    blow-up ladders stop before they build one, the Steiner stream ends at
-    its first (a packing on more vertices is seldom smaller), and random
-    hosts are drawn within the cap.  A host with no fewer edges than the
-    best so far is skipped, and every other distinct host above the floor
-    is decided once.  The witness gets the pattern's isolated vertices.
-    When no strategy verifies, the bound carries the lower bound only.
+    Each stream is a lazy generator of hosts for the pattern's core, taken
+    in the order clique, blow-up, Steiner, random; methods names the
+    streams that set the bound.  The arrow decision is exhaustive, so no
+    host over max_host_edges is decided: the clique and blow-up ladders
+    stop before they build one, the Steiner stream ends at its first (a
+    packing on more vertices is seldom smaller), and random hosts are
+    drawn within the cap.  A host with no fewer edges than the best so far
+    is skipped, and every other distinct host above the floor is decided
+    exactly once.  The witness gets the pattern's isolated vertices.  When
+    no stream verifies, the bound carries the lower bound only.
     """
-    unknown = [s for s in strategies if s not in ALL_STRATEGIES]
-    if unknown:
-        raise ValueError(f"unknown strategies: {unknown}")
     _require_edges(pattern)
     if max_host_edges < 0:
         raise ValueError(f"the edge cap must be non-negative, got max_host_edges={max_host_edges}")
@@ -138,8 +135,6 @@ def size_ramsey_upper(
         ("random-host", _random_hosts(core, max_host_edges, seed)),
     )
     for name, hosts in streams:
-        if name not in strategies:
-            continue
         for host in hosts:
             if host.num_edges > max_host_edges:
                 break
@@ -153,15 +148,14 @@ def size_ramsey_upper(
                 best = host
     if best is None:
         return SizeRamseyBound(lower, None, None, methods=methods)
-    if _first_arrowing((best,), core, node_cap) is None:
-        raise AssertionError("witness host failed re-verification")
     return SizeRamseyBound(lower, best.num_edges, _padded(best, pattern.n), methods=methods)
 
 
 def _detect_ell_path(pattern: KUniformHypergraph) -> Optional[int]:
-    """ell such that pattern is isomorphic to the ell-path on its vertices, or None."""
+    """ell <= k/2 such that pattern is isomorphic to the ell-path on its
+    vertices, or None; the blow-up stream has no use for a larger ell."""
     k = pattern.k
-    for ell in range(1, k):
+    for ell in range(1, k // 2 + 1):
         if pattern.n < k or (pattern.n - ell) % (k - ell):
             continue
         candidate = ell_path(k, ell, pattern.n)
@@ -173,8 +167,9 @@ def _detect_ell_path(pattern: KUniformHypergraph) -> Optional[int]:
 
 
 def _blowup_hosts(pattern: KUniformHypergraph, max_host_edges: int) -> Iterator[KUniformHypergraph]:
-    ell = _detect_ell_path(pattern)
-    if ell is None or ell > pattern.k // 2:
+    # a graph's blow-up into graphs is the graph itself, a clique stream host
+    ell = None if pattern.k == 2 else _detect_ell_path(pattern)
+    if ell is None:
         return
     # the blow-up of K_n holds a monochromatic ell-path exactly when K_n holds
     # a monochromatic graph path with the same edge count, so walk the graph
@@ -185,7 +180,8 @@ def _blowup_hosts(pattern: KUniformHypergraph, max_host_edges: int) -> Iterator[
 
 def _steiner_hosts(pattern: KUniformHypergraph, seed: int) -> Iterator[KUniformHypergraph]:
     k = pattern.k
-    for ell in range(1, k):
+    # ell <= k - 2: a packing with t = k is K_N^(k), a clique stream host
+    for ell in range(1, k - 1):
         if find_ell_tree_order(pattern, ell) is None:
             continue
         for big_n in range(k, 3 * pattern.n + 2):

@@ -149,8 +149,7 @@ def test_ramsey_budget_exit_names_the_host(tmp_path, capsys):
 def test_size_ramsey_commands(tmp_path):
     k3 = write_hg(tmp_path / "k3.json", clique(2, 3))
     rep = tmp_path / "sr.json"
-    assert main(["size-ramsey", "upper", "--pattern", k3,
-                 "--strategies", "clique-host", "--out", str(rep)]) == 0
+    assert main(["size-ramsey", "upper", "--pattern", k3, "--out", str(rep)]) == 0
     d = load(rep)
     assert d["upper"] == 15 and d["witness_host"]["n"] == 6
     single = write_hg(tmp_path / "s.json",
@@ -172,7 +171,7 @@ def test_size_ramsey_upper_pattern_over_the_edge_cap(tmp_path, capsys):
     p8 = write_hg(tmp_path / "p8.json", ell_path(2, 1, 8))
     rep = tmp_path / "sr.json"
     assert main(["size-ramsey", "upper", "--pattern", p8, "--max-host-edges", "5",
-                 "--strategies", "random-host", "--out", str(rep)]) == 2
+                 "--out", str(rep)]) == 2
     assert load(rep)["upper"] is None and load(rep)["lower"] == 7
     assert capsys.readouterr().err == ""
 
@@ -186,16 +185,23 @@ def test_size_ramsey_exact_budget_exit(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("budget exhausted:")
 
 
-@pytest.mark.parametrize("mode, library, options", [
-    ("upper", size_ramsey_upper, {"max_host_edges": "max_host_edges", "budget": "node_cap"}),
-    ("exact", size_ramsey_exact_tiny, {"vcap": "vcap", "ecap": "ecap", "budget": "node_cap"}),
+@pytest.mark.parametrize("mode, library", [
+    ("upper", size_ramsey_upper), ("exact", size_ramsey_exact_tiny),
 ])
-def test_size_ramsey_defaults_are_the_library_defaults(mode, library, options):
-    # each cap default is stated once; the parser and the library read it
-    args = build_parser().parse_args(["size-ramsey", mode, "--pattern", "p.json"])
-    params = inspect.signature(library).parameters
-    for option, param in options.items():
-        assert getattr(args, option) == params[param].default, option
+def test_size_ramsey_defaults_are_the_library_defaults(mode, library):
+    # each mode takes exactly the library's knobs, so none is ignored and
+    # none is out of reach; each cap default is stated once, and the parser
+    # and the library read it
+    args = vars(build_parser().parse_args(["size-ramsey", mode, "--pattern", "p.json"]))
+    for dest in ("command", "mode", "func", "pattern", "out"):
+        del args[dest]
+    args["node_cap"] = args.pop("budget")
+    params = dict(inspect.signature(library).parameters)
+    del params["pattern"]
+    assert args.keys() == params.keys()
+    for name, value in args.items():
+        if name != "seed":  # None on the parser: RF_SEED, else 0, is read at run time
+            assert value == params[name].default, name
 
 
 def test_size_ramsey_config_records_mode_options(tmp_path):
@@ -203,12 +209,11 @@ def test_size_ramsey_config_records_mode_options(tmp_path):
     reports = []
     for cap in ("15", "16"):
         rep = tmp_path / f"sr{cap}.json"
-        assert main(["size-ramsey", "upper", "--pattern", k3, "--strategies",
-                     "clique-host", "--max-host-edges", cap, "--out", str(rep)]) == 0
+        assert main(["size-ramsey", "upper", "--pattern", k3,
+                     "--max-host-edges", cap, "--out", str(rep)]) == 0
         reports.append(load(rep))
     assert reports[0]["config"] == {
-        "pattern": k3, "strategies": ["clique-host"],
-        "max_host_edges": 15, "budget": reports[0]["config"]["budget"],
+        "pattern": k3, "max_host_edges": 15, "budget": reports[0]["config"]["budget"],
     }
     assert reports[0]["config"] != reports[1]["config"]
     edge = write_hg(tmp_path / "e.json", clique(2, 2))
@@ -234,19 +239,16 @@ def test_report_texts_are_pinned(tmp_path):
     p4 = write_hg(tmp_path / "p4.json", ell_path(2, 1, 4))
     budget = 100_000_000
     expected = {
-        "exact": (["size-ramsey", "exact", "--pattern", p4, "--vcap", "7", "--ecap", "7",
-                   "--seed", "3"], {
+        "exact": (["size-ramsey", "exact", "--pattern", p4, "--vcap", "7", "--ecap", "7"], {
             "version": "0.1.0", "command": "size-ramsey exact",
             "config": {"pattern": p4, "vcap": 7, "ecap": 7, "budget": budget},
-            "seed": 3, "lower": 7, "upper": 7,
+            "lower": 7, "upper": 7,
             "witness_host": {"k": 2, "n": 5, "edges": _P4_WITNESS},
             "methods": {}, "caps": {"vcap": 7, "ecap": 7},
         }),
         "upper": (["size-ramsey", "upper", "--pattern", p4, "--seed", "1"], {
             "version": "0.1.0", "command": "size-ramsey upper",
-            "config": {"pattern": p4, "strategies": ["clique-host", "steiner-host",
-                                                     "blowup-host", "random-host"],
-                       "max_host_edges": 18, "budget": budget},
+            "config": {"pattern": p4, "max_host_edges": 18, "budget": budget},
             "seed": 1, "lower": 3, "upper": 8,
             "witness_host": {"k": 2, "n": 7, "edges": _UPPER_WITNESS},
             "methods": {"clique-host": 10, "random-host": 8}, "caps": {},
@@ -499,11 +501,18 @@ def test_fuzzed_input_files_exit_cleanly(tmp_path, capsys, host, pattern, colori
     ["size-ramsey", "exact", "--pattern", "K3", "--ecap", "-3"],
     ["randomlab", "pipeline", "--n", "8", "--p", "1.5", "--m", "2"],
     ["size-ramsey", "upper", "--pattern", "K3", "--max-host-edges", "-3"],
+    ["ramsey", "--pattern", "K3", "--cap", "-3"],
+    ["ramsey", "--pattern", "K3", "--cap", "8", "--budget", "-3"],
+    ["arrows", "--host", "K3", "--pattern", "K3", "--budget", "-3"],
+    ["size-ramsey", "upper", "--pattern", "K3", "--budget", "-3"],
+    ["size-ramsey", "exact", "--pattern", "K3", "--budget", "-3"],
+    ["embed", "--pattern", "K3", "--host", "K3", "--budget", "-3"],
 ])
 def test_bad_numbers_exit_with_one_line(tmp_path, capsys, argv):
     k3 = write_hg(tmp_path / "k3.json", clique(2, 3))
     argv = [k3 if a == "K3" else a for a in argv]
-    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 1
+    argv += ["--out", str(tmp_path / "out.json")] if argv[0] != "embed" else []
+    assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
 
@@ -515,6 +524,12 @@ def test_bad_numbers_exit_with_one_line(tmp_path, capsys, argv):
     ["no-such-command"],
     [],
     ["size-ramsey", "upper", "--pattern", "p.json", "--ramsey-cap", "5"],
+    ["size-ramsey", "upper", "--pattern", "p.json", "--strategies", "clique-host"],
+    ["size-ramsey", "upper", "--pattern", "p.json", "--vcap", "3"],
+    ["size-ramsey", "upper", "--pattern", "p.json", "--ecap", "1"],
+    ["size-ramsey", "exact", "--pattern", "p.json", "--max-host-edges", "1"],
+    ["size-ramsey", "exact", "--pattern", "p.json", "--seed", "5"],
+    ["size-ramsey", "--pattern", "p.json", "exact"],
 ])
 def test_usage_errors_exit_1(capsys, argv):
     # argparse's own exit code is 2, which is kept for exhausted budgets

@@ -53,11 +53,6 @@ def test_size_ramsey_upper_k3():
     assert bound.lower == 3
 
 
-def test_size_ramsey_upper_unknown_strategy():
-    with pytest.raises(ValueError):
-        size_ramsey_upper(clique(2, 3), strategies=("bogus",))
-
-
 def test_size_ramsey_upper_witness_reverifies():
     p3 = ell_path(2, 1, 3)
     bound = size_ramsey_upper(p3, max_host_edges=12)
@@ -67,11 +62,9 @@ def test_size_ramsey_upper_witness_reverifies():
 
 
 def test_size_ramsey_upper_pattern_over_the_edge_cap():
-    # no host within the cap holds a copy: lower bound only, for every strategy
-    p8 = ell_path(2, 1, 8)
-    for strategies in (("random-host",), search.ALL_STRATEGIES):
-        bound = size_ramsey_upper(p8, strategies, max_host_edges=5)
-        assert (bound.lower, bound.upper, bound.witness_host) == (7, None, None)
+    # no host within the cap holds a copy: lower bound only
+    bound = size_ramsey_upper(ell_path(2, 1, 8), max_host_edges=5)
+    assert (bound.lower, bound.upper, bound.witness_host) == (7, None, None)
 
 
 def test_size_ramsey_upper_negative_caps():
@@ -140,28 +133,50 @@ def test_size_ramsey_upper_searches_no_host_over_the_edge_cap(monkeypatch, patte
     assert built == list(range(pattern.n, first_over))
 
 
-@pytest.mark.parametrize("edges, strategy, cap", [
+def _only_stream(monkeypatch, name):
+    """Empty every host stream of size_ramsey_upper but the one named.  The
+    clique stream shares _cliques with the blow-up stream's graph ladder,
+    so it is emptied as the ladders with k >= 3: the patterns that isolate
+    the blow-up stream here are 3-graphs."""
+    empty = lambda *args: iter(())
+    real_cliques = search._cliques
+    graph_ladders = lambda k, *args: real_cliques(k, *args) if k == 2 else iter(())
+    streams = {
+        "clique-host": ("_cliques", graph_ladders),
+        "blowup-host": ("_blowup_hosts", empty),
+        "steiner-host": ("_steiner_hosts", empty),
+        "random-host": ("_random_hosts", empty),
+    }
+    for other, (attr, replacement) in streams.items():
+        if other != name:
+            monkeypatch.setattr(search, attr, replacement)
+
+
+@pytest.mark.parametrize("edges, stream, cap", [
     (1200, "clique-host", 1300), (20, "blowup-host", 30),
 ])
-def test_host_ladders_stop_before_building_a_host_over_the_cap(monkeypatch, edges, strategy, cap):
+def test_host_ladders_stop_before_building_a_host_over_the_cap(monkeypatch, edges, stream, cap):
     # the loose 3-path with 1,200 edges has 2,401 vertices, and K_2401^(3)
     # has about 2.3e9 edges; the 20-edge path's blow-up ladder starts at K21
     # with 210 edges.  An open ladder fails here rather than hang
+    _only_stream(monkeypatch, stream)
     built = _capped_clique(monkeypatch, cap)
-    bound = size_ramsey_upper(ell_path(3, 1, 2 * edges + 1), (strategy,), max_host_edges=cap)
+    bound = size_ramsey_upper(ell_path(3, 1, 2 * edges + 1), max_host_edges=cap)
     assert (bound.lower, bound.upper, built) == (edges, None, [])
 
 
-def test_size_ramsey_upper_clique_ladder_has_no_vertex_cap():
+def test_size_ramsey_upper_clique_ladder_has_no_vertex_cap(monkeypatch):
     # R(C5) = 9, and K9 has 36 edges: the edge cap alone ends the ladder
+    _only_stream(monkeypatch, "clique-host")
     c5 = KUniformHypergraph.from_edges(2, 5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-    bound = size_ramsey_upper(c5, ("clique-host",), max_host_edges=40)
+    bound = size_ramsey_upper(c5, max_host_edges=40)
     assert (bound.upper, bound.methods, bound.witness_host) == (36, {"clique-host": 36}, clique(2, 9))
 
 
 def test_size_ramsey_upper_goes_past_an_unknown_host(monkeypatch):
     # an Unknown verdict on K6 does not end the clique stream: K7 is decided
-    # next, and re-verified as the witness
+    # next, and only once
+    _only_stream(monkeypatch, "clique-host")
     decided = []
     real_arrows = search.arrows
 
@@ -172,10 +187,35 @@ def test_size_ramsey_upper_goes_past_an_unknown_host(monkeypatch):
         return real_arrows(host, *args)
 
     monkeypatch.setattr(search, "arrows", unknown_on_k6)
-    bound = size_ramsey_upper(clique(2, 3), ("clique-host",), max_host_edges=21)
+    bound = size_ramsey_upper(clique(2, 3), max_host_edges=21)
     assert bound.upper == 21 and bound.witness_host == clique(2, 7)
     assert bound.methods == {"clique-host": 21}
-    assert decided == [3, 4, 5, 6, 7, 7]
+    assert decided == [3, 4, 5, 6, 7]
+
+
+@pytest.mark.parametrize("pattern", [clique(2, 2), ell_path(2, 1, 4), ell_path(3, 2, 5)],
+                         ids=["K2", "P4", "tight3"])
+def test_steiner_stream_leaves_the_cliques_to_the_clique_stream(pattern):
+    # a packing with t = k is K_N^(k), so the stream takes ell <= k - 2: a
+    # graph gets no Steiner host, nor does the tight 3-path, a 2-tree only
+    assert list(search._steiner_hosts(pattern, 1)) == []
+
+
+@pytest.mark.parametrize("pattern", [clique(2, 2), ell_path(2, 1, 4)], ids=["K2", "P4"])
+def test_blowup_stream_is_empty_for_graphs(pattern):
+    # a graph's blow-up into graphs is the graph itself, a clique stream host
+    assert list(search._blowup_hosts(pattern, 18)) == []
+
+
+def test_ell_path_detection_tries_no_ell_over_half_k(monkeypatch):
+    # the tight 3-path is the 2-path on 5 vertices; the 1-path on them has
+    # 2 edges, so with ell <= k/2 only no isomorphism test is run
+    calls = []
+    real = search.are_isomorphic
+    monkeypatch.setattr(search, "are_isomorphic", lambda *args: calls.append(args) or real(*args))
+    assert search._detect_ell_path(ell_path(3, 2, 5)) is None
+    assert calls == []
+    assert search._detect_ell_path(ell_path(3, 1, 5)) == 1 and len(calls) == 1
 
 
 _K6_EDGES = clique(2, 6).edges
@@ -200,8 +240,8 @@ def test_size_ramsey_upper_decides_each_host_once(monkeypatch, pattern, upper, m
     decided = _recording_arrows(monkeypatch)
     bound = size_ramsey_upper(pattern)
     assert (bound.upper, bound.methods, bound.witness_host.edges) == (upper, methods, witness)
-    # the witness is decided again, on purpose, by the re-verification
-    assert {h: c for h, c in decided.items() if c > 1} == {bound.witness_host: 2}
+    # every host is decided once, the witness too
+    assert set(decided.values()) == {1}
 
 
 def test_bound_validation():
