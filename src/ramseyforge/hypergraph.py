@@ -266,7 +266,23 @@ class EdgeColoring:
         return cls(host, tuple(colors))
 
 
-# -- independence number ------------------------------------------------
+# -- connectivity and independence number -------------------------------
+
+
+def components(h: KUniformHypergraph) -> list[set[int]]:
+    """The vertex sets of h's connected components, vertices joined through
+    shared edges; an isolated vertex is a component of its own.  Breadth
+    first, a whole frontier at a time."""
+    parts = []
+    rest = set(range(h.n))
+    while rest:
+        part, frontier = set(), {rest.pop()}
+        while frontier:
+            part |= frontier
+            frontier = {w for v in frontier for w in h.neighbors[v]} - part
+        rest -= part
+        parts.append(part)
+    return parts
 
 
 def independence_number(h: KUniformHypergraph, node_cap: int = INDEPENDENCE_NODE_CAP) -> int:
@@ -280,16 +296,7 @@ def independence_number(h: KUniformHypergraph, node_cap: int = INDEPENDENCE_NODE
     if h.n == 0:
         raise ValueError("independence number of an empty vertex set is undefined")
     budget = Budget(node_cap)
-    total = 0
-    rest = set(range(h.n))
-    while rest:
-        part, frontier = set(), {rest.pop()}
-        while frontier:
-            part |= frontier
-            frontier = {w for v in frontier for w in h.neighbors[v]} - part
-        rest -= part
-        total += _independence_search(h.induced(part), budget)
-    return total
+    return sum(_independence_search(h.induced(part), budget) for part in components(h))
 
 
 def _independence_search(h: KUniformHypergraph, budget: Budget) -> int:

@@ -21,7 +21,7 @@ from .constructions import (
 from .embedding import _edge_core, stabiliser_orbits
 from .errors import ARROWS_NODE_CAP, COPY_NODE_CAP, EXACT_ECAP, EXACT_VCAP, MAX_HOST_EDGES
 from .errors import Budget, BudgetExceededError, CapsTooSmallError
-from .hypergraph import KUniformHypergraph, are_isomorphic
+from .hypergraph import KUniformHypergraph, are_isomorphic, components
 
 
 @dataclass
@@ -53,8 +53,14 @@ def _padded(host: KUniformHypergraph, n: int) -> KUniformHypergraph:
 
 def _below_floor(host: KUniformHypergraph, pattern: KUniformHypergraph) -> bool:
     """A host with fewer edges or vertices than the pattern holds no copy
-    of it: copies are injective on every pattern vertex."""
-    return host.num_edges < pattern.num_edges or host.n < pattern.n
+    of it: copies are injective on every pattern vertex.  Nor does a host
+    whose degrees, sorted descending, fall below the pattern's at some
+    position: a copy maps the pattern's vertices to distinct host vertices
+    of no smaller degree."""
+    if host.num_edges < pattern.num_edges or host.n < pattern.n:
+        return True
+    wanted = sorted(pattern.degrees(), reverse=True)
+    return any(h < p for h, p in zip(sorted(host.degrees(), reverse=True), wanted))
 
 
 def _first_arrowing(
@@ -253,9 +259,12 @@ def _orbit_firsts(
                     stack.append(image)
 
 
-def enumerate_hosts(k: int, max_edges: int, vcap: int) -> Iterator[KUniformHypergraph]:
+def enumerate_hosts(
+    k: int, max_edges: int, vcap: int, connected: bool = False
+) -> Iterator[KUniformHypergraph]:
     """One k-graph per isomorphism class with 1..max_edges edges, no
-    isolated vertices and at most vcap vertices, by increasing edge count.
+    isolated vertices and at most vcap vertices, by increasing edge count;
+    with connected set, the connected classes only.
 
     Level m grows each class representative of level m-1 by one absent
     edge, whose new vertices take the next free indices; a child is kept
@@ -263,6 +272,11 @@ def enumerate_hosts(k: int, max_edges: int, vcap: int) -> Iterator[KUniformHyper
     to it.  Every class is reached: dropping an edge of a host, and the
     vertices that leaves isolated, gives a host of the level below.  The
     generator stops at the first level with no child.
+
+    For connected classes every edge after the first takes at most k - 1
+    new vertices, so it meets the host it grows.  Every connected class is
+    still reached: dropping the last edge of a breadth-first edge order, in
+    which each edge meets an earlier one, leaves a connected host.
 
     Old parts in one orbit of Aut(rep) give isomorphic children, so only
     the first of each orbit is tried (McKay, Isomorph-free exhaustive
@@ -279,7 +293,8 @@ def enumerate_hosts(k: int, max_edges: int, vcap: int) -> Iterator[KUniformHyper
         for rep in level:
             chain = stabiliser_orbits(rep, (), Budget(COPY_NODE_CAP))
             autos = [a for _, _, witnesses in chain for a in witnesses]
-            for fresh in range(min(k, vcap - rep.n) + 1):
+            most_fresh = k - 1 if connected and rep.edges else k
+            for fresh in range(min(most_fresh, vcap - rep.n) + 1):
                 new_part = tuple(range(rep.n, rep.n + fresh))
                 for old_part in _orbit_firsts(rep.n, k - fresh, autos):
                     e = old_part + new_part
@@ -309,10 +324,18 @@ def size_ramsey_exact_tiny(
 
     Scans hosts by increasing edge count and returns the first count that
     admits a host arrowing the pattern's core; the witness then gets the
-    pattern's isolated vertices, within vcap since n_G <= vcap.  The caps
-    ride along in the result so callers cannot overclaim exactness.  An
-    Unknown verdict on any host raises BudgetExceededError: that host might
-    arrow, so no count is exact.
+    pattern's isolated vertices, within vcap since n_G <= vcap.  Hosts
+    below the floor (too few edges or vertices, or sorted degrees below
+    the core's) are skipped undecided.  The caps ride along in the result
+    so callers cannot overclaim exactness.  An Unknown verdict on any host
+    raises BudgetExceededError: that host might arrow, so no count is exact.
+
+    A connected core gets connected hosts only.  If H arrows a connected G,
+    some component of H does: good colourings of the components would
+    together colour H with no monochromatic copy, since each copy lies in
+    one component.  So every arrowing host with the fewest edges is
+    connected (Erdős, Faudree, Rousseau and Schelp, The size Ramsey number,
+    1978).  A disconnected core keeps the full scan: r̂(2K2) = 3, by 3K2.
     """
     _require_edges(pattern)
     if vcap < 0 or ecap < 0:
@@ -320,7 +343,8 @@ def size_ramsey_exact_tiny(
     if pattern.n > vcap:
         raise CapsTooSmallError(f"the pattern has more than vcap={vcap} vertices")
     _, core = _edge_core(pattern)
-    host = _first_arrowing(enumerate_hosts(pattern.k, ecap, vcap), core, node_cap)
+    connected = len(components(core)) == 1
+    host = _first_arrowing(enumerate_hosts(pattern.k, ecap, vcap, connected), core, node_cap)
     if host is None:
         raise CapsTooSmallError(f"no arrowing host with <= {ecap} edges on <= {vcap} vertices")
     m = host.num_edges

@@ -7,11 +7,12 @@ import sys
 import networkx as nx
 import pytest
 
-from ramseyforge import search
+from ramseyforge import arrow, search
 from ramseyforge.arrow import ArrowResult, ArrowVerdict, arrows
 from ramseyforge.constructions import blowup_path_host, clique, ell_path
-from ramseyforge.errors import BudgetExceededError, CapsTooSmallError
-from ramseyforge.hypergraph import KUniformHypergraph, are_isomorphic
+from ramseyforge.embedding import find_copy
+from ramseyforge.errors import ARROWS_NODE_CAP, BudgetExceededError, CapsTooSmallError
+from ramseyforge.hypergraph import KUniformHypergraph, are_isomorphic, components
 from ramseyforge.search import (
     SizeRamseyBound,
     _kth_subset,
@@ -278,6 +279,49 @@ def test_size_ramsey_exact_decides_no_host_below_the_floor(monkeypatch, pattern,
     assert decided and _below_floor(decided, pattern) == []
 
 
+def _random_hypergraph(rng, k, n, fewest_edges, most_edges):
+    subsets = list(itertools.combinations(range(n), k))
+    m = rng.randint(fewest_edges, min(most_edges, len(subsets)))
+    return KUniformHypergraph.from_edges(k, n, rng.sample(subsets, m))
+
+
+def test_no_copy_in_a_host_below_the_degree_floor():
+    # a copy maps the pattern's vertices to distinct host vertices of no
+    # smaller degree, so a host whose sorted degrees fall below the
+    # pattern's holds no copy.  Each host has at least the pattern's edges
+    # and vertices, so only the degree sequence can put it below the floor
+    rng = random.Random(24)
+    below = 0
+    for _ in range(400):
+        k = rng.choice((2, 3))
+        pattern = _random_hypergraph(rng, k, rng.randint(k, 6), 1, 5)
+        host_n = rng.randint(pattern.n, pattern.n + 2)
+        host = _random_hypergraph(rng, k, host_n, pattern.num_edges, pattern.num_edges + 3)
+        if search._below_floor(host, pattern):
+            assert find_copy(pattern, host) is None
+            below += 1
+    assert below >= 50
+
+
+def test_degree_floor_skips_the_random_hosts_of_a_long_path(monkeypatch):
+    # every random host of the 1,200-edge loose 3-path leaves fewer than
+    # 2,401 vertices covered, so none holds the path and none is searched:
+    # neither an arrow search nor a copy-mask search is started
+    _only_stream(monkeypatch, "random-host")
+    drawn = []
+    real_random_hosts = search._random_hosts
+    monkeypatch.setattr(search, "_random_hosts",
+                        lambda *args: (drawn.append(h) or h for h in real_random_hosts(*args)))
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a random host was searched")
+
+    monkeypatch.setattr(search, "arrows", no_search)
+    monkeypatch.setattr(arrow, "copy_edge_masks", no_search)
+    bound = size_ramsey_upper(ell_path(3, 1, 2401), max_host_edges=1300, seed=1)
+    assert (bound.lower, bound.upper, len(drawn)) == (1200, None, 20)
+
+
 def _classes(hosts, same):
     """Representatives of the classes of `hosts` under the relation `same`."""
     reps = []
@@ -334,14 +378,20 @@ def test_enumerate_hosts_stops_at_the_first_empty_level(monkeypatch):
     sys.settrace(_bounded_steps(5_000))
     try:
         hosts = list(enumerate_hosts(2, 10**9, 4))
-        # the exact scan tries each of the 7 hosts with 3 or more edges
-        # once, then reports the caps as too small
+        # the exact scan decides 5 of the 7 hosts with 3 or more edges once,
+        # then reports the caps as too small
         with pytest.raises(CapsTooSmallError):
             size_ramsey_exact_tiny(clique(2, 3), vcap=4, ecap=10**9)
     finally:
         sys.settrace(previous)
     assert _level_counts(hosts) == {1: 1, 2: 2, 3: 3, 4: 2, 5: 1, 6: 1}
-    assert len(calls) == 7
+    assert len(calls) == 5
+    # P4 and K1,3 have fewer than three vertices of degree 2, so they hold
+    # no K3, and the degree floor skips them undecided
+    decided = [args[0] for args in calls]
+    skipped = [h for h in hosts if h.num_edges >= 3
+               and not any(are_isomorphic(h, d) for d in decided)]
+    assert sorted(sorted(h.degrees()) for h in skipped) == [[1, 1, 1, 3], [1, 1, 2, 2]]
 
 
 def _incidence_graph(h):
@@ -468,6 +518,29 @@ def test_orbit_pruning_keeps_the_host_sequence(monkeypatch, k, max_edges, vcap, 
     assert (counts["unpruned"], counts["pruned"]) == (unpruned_calls, calls)
 
 
+def test_connected_hosts_count_connected_graphs():
+    # connected graphs with m edges, m = 1..9 (OEIS A002905); at most 10
+    # vertices is no cap for them
+    hosts = list(enumerate_hosts(2, 9, 10, connected=True))
+    assert all(len(components(h)) == 1 for h in hosts)
+    counts = _level_counts(hosts)
+    assert [counts[m] for m in range(1, 10)] == [1, 1, 3, 5, 12, 30, 79, 227, 710]
+
+
+@pytest.mark.parametrize("max_edges, vcap, classes", [(4, 7, 49), (4, 9, 63), (5, 8, 304)])
+def test_connected_hosts_are_the_connected_classes(max_edges, vcap, classes):
+    connected = list(enumerate_hosts(3, max_edges, vcap, connected=True))
+    full = [h for h in enumerate_hosts(3, max_edges, vcap) if len(components(h)) == 1]
+    assert len(connected) == len(full) == classes
+    buckets = collections.defaultdict(list)
+    for h in full:
+        buckets[h.invariant].append(h)
+    # the full enumeration keeps one host per class, so a host isomorphic
+    # to exactly one member of it, for every connected host, is a bijection
+    for h in connected:
+        assert sum(are_isomorphic(h, other) for other in buckets[h.invariant]) == 1
+
+
 def test_kth_subset_matches_lexicographic_order():
     for n in range(7):
         for k in range(1, n + 1):
@@ -568,6 +641,48 @@ def test_size_ramsey_exact_tiny_tight_3_path():
     assert bound.lower == bound.upper == 7
     assert bound.witness_host.num_edges == 7 and bound.witness_host.n <= 6
     assert _arrows_by_brute_force(bound.witness_host, path)
+
+
+def _random_connected(rng, k, m, most_vertices):
+    """A connected k-graph with m edges, each edge after the first meeting
+    an earlier one, on at most most_vertices vertices."""
+    edges, n = [tuple(range(k))], k
+    while len(edges) < m:
+        fresh = rng.randint(0, min(k - 1, most_vertices - n))
+        e = tuple(sorted(rng.sample(range(n), k - fresh) + list(range(n, n + fresh))))
+        if e not in edges:
+            edges.append(e)
+            n += fresh
+    return KUniformHypergraph.from_edges(k, n, edges)
+
+
+def test_connected_scan_matches_the_full_scan():
+    # some component of a host arrowing a connected pattern arrows it, so
+    # the scan over connected hosts finds the value of the full scan
+    rng = random.Random(24)
+    values = []
+    for _ in range(16):
+        k = rng.choice((2, 2, 3))
+        pattern = _random_connected(rng, k, rng.randint(2, 4 if k == 2 else 3), 5)
+        vcap = rng.randint(max(pattern.n, 5), 7 if k == 2 else 6)
+        ecap = rng.randint(5, 8) if k == 2 else rng.randint(3, 6)
+        full = search._first_arrowing(enumerate_hosts(k, ecap, vcap), pattern, ARROWS_NODE_CAP)
+        try:
+            value = size_ramsey_exact_tiny(pattern, vcap, ecap).upper
+        except CapsTooSmallError:
+            value = None
+        assert value == (None if full is None else full.num_edges)
+        values.append(value)
+    assert None in values and len(set(values)) >= 3
+
+
+def test_disconnected_pattern_gets_the_full_scan():
+    # r-hat(2K2) = 3, and its only witness, 3K2, is disconnected: a scan
+    # over connected hosts would miss it
+    two_edges = KUniformHypergraph.from_edges(2, 4, [(0, 1), (2, 3)])
+    bound = size_ramsey_exact_tiny(two_edges, vcap=8, ecap=9)
+    assert bound.upper == 3 and len(components(bound.witness_host)) == 3
+    assert _arrows_by_brute_force(bound.witness_host, two_edges)
 
 
 def test_size_ramsey_exact_tiny_caps_error():
