@@ -237,8 +237,33 @@ def test_report_texts_are_pinned(tmp_path):
     # the report bodies follow the field order of their records, so a field
     # moved in a record must show here
     p4 = write_hg(tmp_path / "p4.json", ell_path(2, 1, 4))
+    k3, k5, k6 = (write_hg(tmp_path / f"k{n}.json", clique(2, n)) for n in (3, 5, 6))
     budget = 100_000_000
     expected = {
+        "arrows-k5": (["arrows", "--host", k5, "--pattern", k3], {
+            "version": "0.1.0", "command": "arrows",
+            "config": {"host": k5, "pattern": k3, "budget": budget},
+            "result": "NotArrows", "nodes": 4,
+            "certificate": ["R", "R", "B", "B", "B", "R", "B", "B", "R", "R"],
+        }),
+        "arrows-k6": (["arrows", "--host", k6, "--pattern", k3], {
+            "version": "0.1.0", "command": "arrows",
+            "config": {"host": k6, "pattern": k3, "budget": budget},
+            "result": "Arrows", "nodes": 3,
+        }),
+        "ramsey": (["ramsey", "--pattern", k3, "--cap", "8"], {
+            "version": "0.1.0", "command": "ramsey",
+            "config": {"pattern": k3, "cap": 8, "budget": budget},
+            "ramsey_number": 6, "result": "Found",
+        }),
+        "gadget-audit": (["gadget-audit", "--t", "2", "--q", "2", "--seed", "0"], {
+            "version": "0.1.0", "command": "gadget-audit",
+            "config": {"t": 2, "q": 2},
+            "seed": 0, "tree_vertices": 7, "tree_edges": 3, "rooted_automorphisms": 8,
+            "family_size": 2, "pairwise_isomorphic": [[True, False], [False, True]],
+            "max_degree": [3, 3], "union_vertices": 14, "independence_number": 10,
+            "independence_bound": 8 * 14 / 9, "independence_ok": True,
+        }),
         "exact": (["size-ramsey", "exact", "--pattern", p4, "--vcap", "7", "--ecap", "7"], {
             "version": "0.1.0", "command": "size-ramsey exact",
             "config": {"pattern": p4, "vcap": 7, "ecap": 7, "budget": budget},
