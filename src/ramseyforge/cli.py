@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 bad input (usage errors too), 2 budget exhausted /
 Unknown verdict.
-Reports embed the tool version, the effective config and the seed; the
-timestamp field is the only part excluded from byte-for-byte determinism.
+A report embeds the tool version, the command and its config: the command's
+options as parsed, minus --out and --seed. Every command that takes --seed
+records it, default 0. Re-running the config reproduces the report byte for
+byte apart from its timestamp field.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import random
 import sys
 import time
@@ -51,18 +52,6 @@ from .search import ramsey_number_small, size_ramsey_exact_tiny, size_ramsey_upp
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_BUDGET = 2
-
-
-def _resolve_seed(value: Optional[int]) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("RF_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(f"RF_SEED is not an integer: {env!r}") from exc
-    return 0
 
 
 def _load_json(path: str):
@@ -108,15 +97,21 @@ def _fields_except(record, skip: str) -> dict:
     return {f.name: getattr(record, f.name) for f in fields(record) if f.name != skip}
 
 
-def _report(command: str, config: dict, seed: Optional[int], body: dict) -> dict:
+# parsed names that are not options of the run a report records
+_NOT_CONFIG = {"command", "mode", "func", "out", "seed"}
+
+
+def _report(args, body: dict) -> dict:
+    """The report of a run: command, config and seed as parsed, then body."""
+    parsed = vars(args)
     out = {
         "version": __version__,
-        "command": command,
-        "config": config,
+        "command": " ".join(filter(None, (args.command, parsed.get("mode")))),
+        "config": {k: v for k, v in parsed.items() if k not in _NOT_CONFIG},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    if seed is not None:
-        out["seed"] = seed
+    if "seed" in parsed:
+        out["seed"] = args.seed
     out.update(body)
     return out
 
@@ -130,26 +125,26 @@ def _host_graph(args) -> KUniformHypergraph:
     return _load_hypergraph(args.host)
 
 
-# kind -> builder from the parsed arguments and the seed; the order is the
-# order of the parser's choices
+# kind -> builder from the parsed arguments; the order is the order of the
+# parser's choices
 _CONSTRUCTORS = {
-    "ell-path": lambda a, seed: ell_path(a.k, a.l, a.n),
-    "clique": lambda a, seed: clique(a.k, a.n),
-    "ell-tree": lambda a, seed: random_ell_tree(a.k, a.l, a.n, seed),
-    "star-tree": lambda a, seed: star_tree(a.k, a.n),
-    "binary-tree": lambda a, seed: binary_three_tree(a.t),
-    "gadget": lambda a, seed: random_gadget(a.t, random.Random(seed)),
-    "gadget-family": lambda a, seed: gadget_family(a.t, a.q, seed),
-    "steiner": lambda a, seed: greedy_partial_steiner(
-        SteinerParams(a.t, a.k, a.n, seed)
+    "ell-path": lambda a: ell_path(a.k, a.l, a.n),
+    "clique": lambda a: clique(a.k, a.n),
+    "ell-tree": lambda a: random_ell_tree(a.k, a.l, a.n, a.seed),
+    "star-tree": lambda a: star_tree(a.k, a.n),
+    "binary-tree": lambda a: binary_three_tree(a.t),
+    "gadget": lambda a: random_gadget(a.t, random.Random(a.seed)),
+    "gadget-family": lambda a: gadget_family(a.t, a.q, a.seed),
+    "steiner": lambda a: greedy_partial_steiner(
+        SteinerParams(a.t, a.k, a.n, a.seed)
     ).hypergraph,
-    "blowup": lambda a, seed: blowup_path_host(_host_graph(a), a.k, a.l),
-    "clique-hypergraph": lambda a, seed: clique_hypergraph(_host_graph(a), a.k),
+    "blowup": lambda a: blowup_path_host(_host_graph(a), a.k, a.l),
+    "clique-hypergraph": lambda a: clique_hypergraph(_host_graph(a), a.k),
 }
 
 
 def _cmd_construct(args) -> int:
-    built = _CONSTRUCTORS[args.kind](args, _resolve_seed(args.seed))
+    built = _CONSTRUCTORS[args.kind](args)
     if args.kind == "gadget-family":
         members, union = built
         payload = {"members": [m.to_dict() for m in members], "union": union.to_dict()}
@@ -169,15 +164,7 @@ def _cmd_arrows(args) -> int:
     body: dict = {"result": verdict.result.value, "nodes": verdict.nodes}
     if verdict.certificate is not None:
         body["certificate"] = verdict.certificate.to_list()
-        if args.certificate:
-            _write_json(args.certificate, verdict.certificate.to_list())
-    report = _report(
-        "arrows",
-        {"host": args.host, "pattern": args.pattern, "budget": args.budget},
-        None,
-        body,
-    )
-    _write_json(args.out, report)
+    _write_json(args.out, _report(args, body))
     return EXIT_BUDGET if verdict.result == ArrowResult.UNKNOWN else EXIT_OK
 
 
@@ -242,20 +229,20 @@ def _degree_threshold(host: KUniformHypergraph, args) -> EdgeColoring:
     return degree_threshold_coloring(host, args.n)
 
 
-# scheme -> coloring of the host from the parsed arguments and the seed
+# scheme -> coloring of the host from the parsed arguments
 _COLOR_SCHEMES = {
-    "random": lambda host, a, seed: _random_coloring(host, seed),
-    "majority": lambda host, a, seed: _majority_coloring(host, host.degrees()),
-    "degree-threshold": lambda host, a, seed: _degree_threshold(host, a),
-    "vhigh-vlow": lambda host, a, seed: vhigh_vlow_coloring(
-        host, a.d, gadget_family(a.t, a.q, seed)[0]
+    "random": lambda host, a: _random_coloring(host, a.seed),
+    "majority": lambda host, a: _majority_coloring(host, host.degrees()),
+    "degree-threshold": lambda host, a: _degree_threshold(host, a),
+    "vhigh-vlow": lambda host, a: vhigh_vlow_coloring(
+        host, a.d, gadget_family(a.t, a.q, a.seed)[0]
     )[0],
 }
 
 
 def _cmd_color(args) -> int:
     host = _load_hypergraph(args.host)
-    coloring = _COLOR_SCHEMES[args.scheme](host, args, _resolve_seed(args.seed))
+    coloring = _COLOR_SCHEMES[args.scheme](host, args)
     _write_json(args.out, coloring.to_list())
     return EXIT_OK
 
@@ -266,28 +253,18 @@ def _cmd_color(args) -> int:
 def _cmd_ramsey(args) -> int:
     pattern = _load_hypergraph(args.pattern)
     n = ramsey_number_small(pattern, args.cap, args.budget)
-    report = _report(
-        "ramsey",
-        {"pattern": args.pattern, "cap": args.cap, "budget": args.budget},
-        None,
-        {"ramsey_number": n, "result": "Found" if n is not None else "Unknown"},
-    )
-    _write_json(args.out, report)
+    body = {"ramsey_number": n, "result": "Found" if n is not None else "Unknown"}
+    _write_json(args.out, _report(args, body))
     return EXIT_OK if n is not None else EXIT_BUDGET
 
 
 def _cmd_size_ramsey(args) -> int:
     pattern = _load_hypergraph(args.pattern)
     if args.mode == "upper":
-        seed = _resolve_seed(args.seed)
-        options = {"max_host_edges": args.max_host_edges}
-        bound = size_ramsey_upper(pattern, **options, node_cap=args.budget, seed=seed)
+        bound = size_ramsey_upper(pattern, args.budget, args.max_host_edges, args.seed)
     else:
-        seed = None
-        options = {"vcap": args.vcap, "ecap": args.ecap}
-        bound = size_ramsey_exact_tiny(pattern, **options, node_cap=args.budget)
-    config = {"pattern": args.pattern, **options, "budget": args.budget}
-    _write_json(args.out, _report(f"size-ramsey {args.mode}", config, seed, asdict(bound)))
+        bound = size_ramsey_exact_tiny(pattern, args.vcap, args.ecap, args.budget)
+    _write_json(args.out, _report(args, asdict(bound)))
     return EXIT_BUDGET if bound.upper is None else EXIT_OK
 
 
@@ -295,8 +272,7 @@ def _cmd_size_ramsey(args) -> int:
 
 
 def _cmd_randomlab(args) -> int:
-    seed = _resolve_seed(args.seed)
-    params = GnpParams(n=args.n, p=args.p, seed=seed, k=args.k, d=args.d)
+    params = GnpParams(n=args.n, p=args.p, seed=args.seed, k=args.k, d=args.d)
     graph = gnp(params)
     host = clique_hypergraph(graph, args.k)
     stats = clique_stats(graph, host, d=args.d)
@@ -305,7 +281,7 @@ def _cmd_randomlab(args) -> int:
     elif args.coloring_scheme == "majority":
         coloring = _majority_coloring(host, stats.deg_k)
     else:
-        coloring = _random_coloring(host, seed)
+        coloring = _random_coloring(host, args.seed)
     account = iterated_procedure(host, coloring, BLUE, args.m)
     body = {
         "graph_edges": graph.num_edges,
@@ -319,16 +295,7 @@ def _cmd_randomlab(args) -> int:
         "rounds": [_fields_except(r, "state") for r in account.rounds],
         "accounting": _fields_except(account, "rounds"),
     }
-    config = {
-        "n": args.n,
-        "k": args.k,
-        "p": args.p,
-        "d": args.d,
-        "m": args.m,
-        "coloring": args.coloring,
-        "coloring_scheme": args.coloring_scheme,
-    }
-    _write_json(args.out, _report("randomlab pipeline", config, seed, body))
+    _write_json(args.out, _report(args, body))
     return EXIT_BUDGET if account.round_cap_exceeded else EXIT_OK
 
 
@@ -336,9 +303,8 @@ def _cmd_randomlab(args) -> int:
 
 
 def _cmd_gadget_audit(args) -> int:
-    seed = _resolve_seed(args.seed)
     tree = binary_three_tree(args.t)
-    members, union = gadget_family(args.t, args.q, seed)
+    members, union = gadget_family(args.t, args.q, args.seed)
     iso = [
         [bool(are_isomorphic(a, b)) for b in members] for a in members
     ]
@@ -355,8 +321,7 @@ def _cmd_gadget_audit(args) -> int:
         "independence_bound": 8 * union.n / 9,
         "independence_ok": 9 * alpha <= 8 * union.n,
     }
-    config = {"t": args.t, "q": args.q}
-    _write_json(args.out, _report("gadget-audit", config, seed, body))
+    _write_json(args.out, _report(args, body))
     return EXIT_OK
 
 
@@ -380,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=2)
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--host", help="input graph JSON (blowup, clique-hypergraph)")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_construct)
 
@@ -388,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", required=True)
     p.add_argument("--pattern", required=True)
     p.add_argument("--budget", type=int, default=ARROWS_NODE_CAP)
-    p.add_argument("--certificate", help="write a NotArrows certificate here")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_arrows)
 
@@ -407,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=3, help="degree threshold (vhigh-vlow)")
     p.add_argument("--t", type=int, default=2, help="gadget depth (vhigh-vlow)")
     p.add_argument("--q", type=int, default=2, help="gadget count (vhigh-vlow)")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_color)
 
@@ -422,15 +386,17 @@ def build_parser() -> argparse.ArgumentParser:
     modes = p.add_subparsers(dest="mode", required=True)
     upper = modes.add_parser("upper", help="best bound over the host streams")
     exact = modes.add_parser("exact", help="exact value under host caps")
+    # a report's config follows this order: pattern, the mode's options, budget
     for mode in (upper, exact):
         mode.add_argument("--pattern", required=True)
+    upper.add_argument("--max-host-edges", type=int, default=MAX_HOST_EDGES)
+    upper.add_argument("--seed", type=int, default=0)
+    exact.add_argument("--vcap", type=int, default=EXACT_VCAP)
+    exact.add_argument("--ecap", type=int, default=EXACT_ECAP)
+    for mode in (upper, exact):
         mode.add_argument("--budget", type=int, default=ARROWS_NODE_CAP)
         mode.add_argument("--out")
         mode.set_defaults(func=_cmd_size_ramsey)
-    upper.add_argument("--max-host-edges", type=int, default=MAX_HOST_EDGES)
-    upper.add_argument("--seed", type=int)
-    exact.add_argument("--vcap", type=int, default=EXACT_VCAP)
-    exact.add_argument("--ecap", type=int, default=EXACT_ECAP)
 
     p = sub.add_parser("randomlab", help="random clique-host experiment pipeline")
     p.add_argument("mode", choices=("pipeline",))
@@ -439,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float)
     p.add_argument("--d", type=float)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--coloring", help="coloring JSON for the clique hypergraph")
     p.add_argument(
         "--coloring-scheme", choices=("random", "majority"), default="random"
@@ -450,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gadget-audit", help="verify the gadget family's facts")
     p.add_argument("--t", type=int, default=2)
     p.add_argument("--q", type=int, default=2)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gadget_audit)
 

@@ -50,12 +50,11 @@ def test_arrows_k6_k3(tmp_path):
 def test_arrows_certificate_and_budget_exit(tmp_path):
     k5 = write_hg(tmp_path / "k5.json", clique(2, 5))
     k3 = write_hg(tmp_path / "k3.json", clique(2, 3))
-    cert = tmp_path / "cert.json"
     rep = tmp_path / "rep.json"
-    assert main(["arrows", "--host", k5, "--pattern", k3,
-                 "--certificate", str(cert), "--out", str(rep)]) == 0
-    assert load(rep)["result"] == "NotArrows"
-    colors = load(cert)
+    assert main(["arrows", "--host", k5, "--pattern", k3, "--out", str(rep)]) == 0
+    report = load(rep)
+    assert report["result"] == "NotArrows"
+    colors = report["certificate"]
     assert len(colors) == 10 and set(colors) <= {"R", "B"}
     # exhausted budget is the distinct exit code 2
     assert main(["arrows", "--host", k5, "--pattern", k3, "--budget", "2"]) == 2
@@ -111,17 +110,15 @@ def test_color_schemes(tmp_path):
     assert main(["color", "degree-threshold", "--host", k6]) == 1
 
 
-def test_rf_seed_env_fallback(tmp_path, monkeypatch):
+def test_seed_defaults_to_zero(tmp_path):
     k6 = write_hg(tmp_path / "k6.json", clique(2, 6))
-    a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
-    monkeypatch.setenv("RF_SEED", "7")
-    assert main(["color", "random", "--host", k6, "--out", str(a)]) == 0
-    assert main(["color", "random", "--host", k6, "--seed", "7",
-                 "--out", str(b)]) == 0
-    monkeypatch.setenv("RF_SEED", "8")
-    assert main(["color", "random", "--host", k6, "--out", str(c)]) == 0
-    assert load(a) == load(b)
-    assert load(a) != load(c)
+    outputs = []
+    for seed in ([], ["--seed", "0"], ["--seed", "7"], ["--seed", "8"]):
+        out = tmp_path / "c.json"
+        assert main(["color", "random", "--host", k6, *seed, "--out", str(out)]) == 0
+        outputs.append(load(out))
+    assert outputs[0] == outputs[1]
+    assert outputs[2] != outputs[3]
 
 
 def test_ramsey_command(tmp_path):
@@ -200,8 +197,7 @@ def test_size_ramsey_defaults_are_the_library_defaults(mode, library):
     del params["pattern"]
     assert args.keys() == params.keys()
     for name, value in args.items():
-        if name != "seed":  # None on the parser: RF_SEED, else 0, is read at run time
-            assert value == params[name].default, name
+        assert value == params[name].default, name
 
 
 def test_size_ramsey_config_records_mode_options(tmp_path):
@@ -221,6 +217,42 @@ def test_size_ramsey_config_records_mode_options(tmp_path):
     assert main(["size-ramsey", "exact", "--pattern", edge, "--vcap", "3",
                  "--ecap", "2", "--budget", "900", "--out", str(rep)]) == 0
     assert load(rep)["config"] == {"pattern": edge, "vcap": 3, "ecap": 2, "budget": 900}
+
+
+def _rerun_argv(report):
+    """The argv that re-runs a report's command from its config and seed."""
+    argv = report["command"].split()
+    for key, value in report["config"].items():
+        if value is not None:
+            argv += [f"--{key.replace('_', '-')}", str(value)]
+    if "seed" in report:
+        argv += ["--seed", str(report["seed"])]
+    return argv
+
+
+def test_report_config_reruns_it(tmp_path):
+    p4 = write_hg(tmp_path / "p4.json", ell_path(2, 1, 4))
+    k3, k5 = (write_hg(tmp_path / f"k{n}.json", clique(2, n)) for n in (3, 5))
+    edge = write_hg(tmp_path / "e.json", clique(2, 2))
+    runs = [
+        ["arrows", "--host", k5, "--pattern", k3, "--budget", "500"],
+        ["ramsey", "--pattern", k3, "--cap", "7"],
+        ["size-ramsey", "upper", "--pattern", p4, "--max-host-edges", "12", "--seed", "3"],
+        ["size-ramsey", "exact", "--pattern", edge, "--vcap", "4", "--ecap", "3",
+         "--budget", "900"],
+        ["randomlab", "pipeline", "--n", "16", "--p", "0.6", "--m", "4", "--seed", "5",
+         "--coloring-scheme", "majority"],
+        ["gadget-audit", "--t", "2", "--q", "2", "--seed", "4"],
+    ]
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    for argv in runs:
+        assert main(argv + ["--out", str(first)]) == 0, argv
+        report = load(first)
+        assert main(_rerun_argv(report) + ["--out", str(again)]) == 0, argv
+        rerun = load(again)
+        report.pop("timestamp")
+        rerun.pop("timestamp")
+        assert rerun == report, argv
 
 
 def _report_text(path):
@@ -474,8 +506,7 @@ def _file_texts(values):
 _FUZZ_COMMANDS = [
     ["construct", "blowup", "--host", "H", "--k", "3", "--l", "1"],
     ["construct", "clique-hypergraph", "--host", "H", "--k", "3"],
-    ["arrows", "--host", "H", "--pattern", "P", "--budget", "500",
-     "--certificate", "OUT"],
+    ["arrows", "--host", "H", "--pattern", "P", "--budget", "500"],
     ["embed", "--pattern", "P", "--host", "H", "--budget", "500"],
     ["embed", "--pattern", "P", "--host", "H", "--color", "blue",
      "--coloring", "C", "--budget", "500"],
@@ -501,7 +532,7 @@ _FUZZ_COMMANDS = [
 )
 def test_fuzzed_input_files_exit_cleanly(tmp_path, capsys, host, pattern, coloring):
     files = {"H": tmp_path / "host.json", "P": tmp_path / "pattern.json",
-             "C": tmp_path / "coloring.json", "OUT": tmp_path / "cert.json"}
+             "C": tmp_path / "coloring.json"}
     files["H"].write_text(host)
     files["P"].write_text(pattern)
     files["C"].write_text(coloring)
@@ -555,6 +586,7 @@ def test_bad_numbers_exit_with_one_line(tmp_path, capsys, argv):
     ["size-ramsey", "exact", "--pattern", "p.json", "--max-host-edges", "1"],
     ["size-ramsey", "exact", "--pattern", "p.json", "--seed", "5"],
     ["size-ramsey", "--pattern", "p.json", "exact"],
+    ["arrows", "--host", "h.json", "--pattern", "p.json", "--certificate", "c.json"],
 ])
 def test_usage_errors_exit_1(capsys, argv):
     # argparse's own exit code is 2, which is kept for exhausted budgets

@@ -158,3 +158,22 @@ def test_budget_defaults_live_in_errors():
         and node.value >= 1_000_000
     ]
     assert not literals, f"budget-sized integer literals outside errors.py: {literals}"
+
+
+def test_no_module_reads_the_environment():
+    # every setting that shapes a run is a parsed option, and so appears in
+    # its report's config
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(ROOT.glob("src/ramseyforge/*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+        or isinstance(node, ast.ImportFrom) and node.module == "os"
+        and any(a.name in ("environ", "getenv") for a in node.names)
+    ]
+    assert not reads, (
+        f"os.environ or os.getenv read at {reads}: a setting that shapes a run "
+        "is a CLI option, recorded in its report's config; a variable that "
+        "cannot change a report, such as the log level of ROADMAP item 6, "
+        "must be exempted here by name"
+    )
