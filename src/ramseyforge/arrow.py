@@ -66,6 +66,11 @@ class ArrowVerdict:
     nodes: int
 
 
+# masks per transpose chunk in _two_color: the chunk bounds the bin() text
+# held at once; a call with at most this many masks takes one chunk
+_CHUNK = 4096
+
+
 def _two_color(
     masks: list[int], budget: Budget, edge_vertices: Sequence[int] = ()
 ) -> Optional[int]:
@@ -97,15 +102,22 @@ def _two_color(
     span = max(masks, default=0).bit_length()
     if not span:
         return 0
-    # transpose in C-level passes: each mask's size (at most span) above
-    # its edges, as bin() text with a leading 1 for a fixed width;
-    # reversed, each row reads from bit 0 up and the rows run from the
-    # last mask to the first, so every (width + 3)-th character from i on
-    # is column i: the masks through edge i, or count digit i - span
+    # transpose in C-level passes, _CHUNK masks at a time: each mask's size
+    # (at most span) above its edges, as bin() text with a leading 1 for a
+    # fixed width; reversed, each row reads from bit 0 up and the rows run
+    # from the chunk's last mask to its first, so every (width + 3)-th
+    # character from i on is column i: the chunk's masks through edge i, or
+    # count digit i - span, shifted into place by the chunk's start
     width = span + span.bit_length()
     top = 1 << width
-    rows = "".join([bin(top | cm.bit_count() << span | cm) for cm in masks])[::-1]
-    by_edge = [int(rows[i :: width + 3], 2) for i in range(width)]
+    by_edge = [0] * width
+    for start in range(0, len(masks), _CHUNK):
+        chunk = masks[start : start + _CHUNK]
+        rows = "".join([bin(top | cm.bit_count() << span | cm) for cm in chunk])[::-1]
+        by_edge = [
+            column | int(rows[i :: width + 3], 2) << start
+            for i, column in enumerate(by_edge)
+        ]
     degree = list(map(int.bit_count, by_edge))
     order = sorted(
         filter(degree.__getitem__, range(span)), key=degree.__getitem__, reverse=True

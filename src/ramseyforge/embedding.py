@@ -11,7 +11,7 @@ import bisect
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Collection, Iterator, Mapping, Optional, Sequence
+from typing import Collection, Iterator, Mapping, Optional
 
 from .constructions import find_ell_tree_order
 from .errors import COPY_NODE_CAP, Budget
@@ -93,28 +93,34 @@ def _pattern_order(pattern: KUniformHypergraph) -> list[int]:
 
 
 def _copy_plan(pattern: KUniformHypergraph) -> tuple:
-    """(order, pos, closing, anchor, degrees): the part of the copy search
-    that depends on the pattern alone, built on first use and cached on it.
-    order is _pattern_order and pos its inverse.  closing[i] holds, for each
-    pattern edge whose last vertex in order is order[i], the edge's other
-    vertices: the one other vertex itself when k = 2, else their tuple;
-    they are the keys the copy search looks up in the link of order[i]'s
-    image (see _host_plan).  anchor[i] is the first placed pattern
-    neighbour of order[i], if any, whose image the image of order[i] must
-    share a host edge with."""
+    """(order, depth, closing, anchor, need): the part of the copy search
+    that depends on the pattern alone, indexed by depth, the position in
+    order, and built on first use and cached on the pattern.  order is
+    _pattern_order and depth its inverse, a list.  closing[i] holds, for
+    each pattern edge whose last vertex in order is order[i], the depths of
+    the edge's other vertices: the one depth itself when k = 2, else their
+    tuple; their images are the keys the copy search looks up in the link
+    of order[i]'s image (see _host_plan).  anchor[i] is the depth of the
+    first placed pattern neighbour of order[i], if any, whose image the
+    image of order[i] must share a host edge with.  need[i] is the degree
+    of order[i]."""
     if "_copy_plan" not in pattern.__dict__:
         order = _pattern_order(pattern)
-        pos = {v: i for i, v in enumerate(order)}
+        depth = [0] * pattern.n
+        for i, v in enumerate(order):
+            depth[v] = i
         closing: list[list] = [[] for _ in range(pattern.n)]
         for e in pattern.edges:
-            i = max(pos[v] for v in e)
-            rest = tuple(v for v in e if v != order[i])
+            i = max(depth[v] for v in e)
+            rest = tuple(depth[v] for v in e if depth[v] != i)
             closing[i].append(rest[0] if pattern.k == 2 else rest)
-        anchor: list[Optional[int]] = []
-        for i, u in enumerate(order):
-            placed = [w for w in pattern.neighbors[u] if pos[w] < i]
-            anchor.append(min(placed, key=pos.__getitem__) if placed else None)
-        pattern.__dict__["_copy_plan"] = order, pos, closing, anchor, pattern.degrees()
+        anchor = [
+            min([depth[w] for w in pattern.neighbors[u] if depth[w] < i], default=None)
+            for i, u in enumerate(order)
+        ]
+        deg = pattern.degrees()
+        need = [deg[u] for u in order]
+        pattern.__dict__["_copy_plan"] = order, depth, closing, anchor, need
     return pattern.__dict__["_copy_plan"]
 
 
@@ -122,14 +128,14 @@ def _host_plan(
     host: KUniformHypergraph,
     coloring: Optional[EdgeColoring],
     color: Optional[str],
-) -> list[dict]:
-    """The link of each host vertex w: a dict that maps the other vertices
-    of each allowed host edge through w to that edge's bit 1 << index.  A
-    key is the one other vertex itself when k = 2, else the frozenset of
-    the others.  The allowed degree of w is len(link[w]).  The uncoloured
-    links are built on first use and cached on the host; a colour filter
-    builds its own on each call, and raises ValueError for a coloring of
-    another host."""
+) -> tuple[list[dict], list[int]]:
+    """(link, degree): the link of each host vertex w, a dict that maps the
+    other vertices of each allowed host edge through w to that edge's bit
+    1 << index, and the allowed degree len(link[w]) of w.  A key is the one
+    other vertex itself when k = 2, else the frozenset of the others.  The
+    uncoloured plan is built on first use and cached on the host; a colour
+    filter builds its own on each call, and raises ValueError for a
+    coloring of another host."""
     if color is None and "_copy_host" in host.__dict__:
         return host.__dict__["_copy_host"]
     link: list[dict] = [{} for _ in range(host.n)]
@@ -137,9 +143,10 @@ def _host_plan(
         for w in es:
             rest = es - {w}
             link[w][next(iter(rest)) if host.k == 2 else rest] = bit
+    plan = link, list(map(len, link))
     if color is None:
-        host.__dict__["_copy_host"] = link
-    return link
+        host.__dict__["_copy_host"] = plan
+    return plan
 
 
 def enumerate_copies(
@@ -161,14 +168,22 @@ def enumerate_copies(
     a placed neighbour tries only the host neighbours of that neighbour's
     image.  A candidate w of pattern vertex u is kept when it is unused,
     its allowed degree reaches u's, and the link of w holds the images of
-    every edge that u closes (the plans of _copy_plan and _host_plan);
-    only then is it written to the mapping.
+    every edge that u closes (the plans of _copy_plan and _host_plan).
+    The images are held by depth, img[i] for order[i], and the link keys of
+    the edges a depth closes are built once per visit of that depth, not
+    once per candidate.
 
     node_cap counts the candidates tried.  The search counts them in a
     local int and settles the count with one budget.spend() before each
     yield, at exhaustion, and as soon as it passes the room the budget had
     left, which raises at the same candidate as one spend() per candidate
-    would.  The room is read again on each resume.
+    would.  The room is read again on each resume.  In mask mode the last
+    depth is one pass: when all its candidates fit in the room left, it
+    collects the masks of the survivors, settles the count with them all
+    once, and only then yields them; otherwise it counts them one by one.
+    So a private budget counts and raises exactly as one spend() per
+    candidate would, but a mask search paused at a yield has already spent
+    the rest of that depth's candidates.
 
     Private keywords: _pins maps pattern vertices to the only host vertex
     each may take.  _less holds pairs (v, w), v placed before w in the
@@ -185,82 +200,123 @@ def enumerate_copies(
     if pattern.n > host.n:
         return
     budget = Budget(node_cap) if _budget is None else _budget
-    link = _host_plan(host, coloring, color)
-    order, pos, closing, anchor, pat_deg = _copy_plan(pattern)
-    # below[i]: the pattern vertices whose images the image of order[i] must exceed
-    below: list[list[int]] = [[] for _ in range(pattern.n)]
-    # ceiling[i]: the highest image of order[i] that leaves a higher one per _less pair
-    ceiling = [host.n - 1] * pattern.n
+    link, degree = _host_plan(host, coloring, color)
+    order, depth, closing, anchor, need = _copy_plan(pattern)
+    n = pattern.n
+    # below[i]: the depths whose images the image at depth i must exceed;
+    # ceiling[i]: the highest image at depth i that leaves a higher one per
+    # _less pair
+    below: list[list[int]] = [[] for _ in range(n)]
+    ceiling = [host.n - 1] * n
     for v, w in _less:
-        below[pos[w]].append(v)
-        ceiling[pos[v]] -= 1
-
-    if pattern.n == 0:
+        below[depth[w]].append(depth[v])
+        ceiling[depth[v]] -= 1
+    if n == 0:
         yield 0 if _masks else ()
         return
-    pins = _pins or {}
+    pinned: list[Optional[int]] = [None] * n
+    for v, x in (_pins or {}).items():
+        pinned[depth[v]] = x
     pair = pattern.k == 2
-    mapping: dict[int, int] = {}
-    image_of = mapping.__getitem__
-    used: set[int] = set()
+    last = n - 1
+    img = [0] * n
+    used = bytearray(host.n)
     # image[i]: the bits of the image edges closed before depth i
-    image = [0] * (pattern.n + 1)
+    image = [0] * (n + 1)
     adj = host.neighbors
     everyone = range(host.n)
-
-    def candidates(i: int) -> Sequence[int]:
-        """Host vertices order[i] may take, in increasing order: its pin, or
-        the host neighbours of its anchor's image, or every host vertex;
-        then only those between the floor and ceiling of its _less pairs."""
-        u, a = order[i], anchor[i]
-        if u in pins:
-            near = (pins[u],)
-        else:
-            near = everyone if a is None else adj[mapping[a]]
-        if below[i]:
-            floor = max([mapping[v] for v in below[i]])
-            near = near[bisect.bisect_right(near, floor):]
-        if near and near[-1] > ceiling[i]:
-            near = near[: bisect.bisect_right(near, ceiling[i])]
-        return near
+    # todo[i]: the candidates of depth i still to try, in increasing order,
+    # or None before depth i is entered; keys[i]: the link keys of the edges
+    # depth i closes, set on entering it
+    todo: list[Optional[Iterator[int]]] = [None] * n
+    keys: list[list] = [[]] * n
 
     # tried: candidates since the budget was last settled; room: how many
     # the budget had left then
     tried, room = 0, budget.cap - budget.used
-    # depth-first search with an explicit stack: stack[i] holds the host
-    # candidates still to try for order[i], in increasing index order
-    stack = [iter(candidates(0))]
-    while stack:
-        i = len(stack) - 1
-        u = order[i]
-        if u in mapping:  # back at depth i: release its previous candidate
-            used.discard(mapping.pop(u))
-        need, closes = pat_deg[u], closing[i]
-        for w in stack[i]:
+    i = 0
+    while i >= 0:
+        base = image[i]
+        if todo[i] is None:
+            # entering depth i: its pin, or the host neighbours of its
+            # anchor's image, or every host vertex; then only those between
+            # the floor and ceiling of its _less pairs
+            a = anchor[i]
+            if pinned[i] is not None:
+                near = (pinned[i],)
+            else:
+                near = everyone if a is None else adj[img[a]]
+            if below[i]:
+                floor = max([img[d] for d in below[i]])
+                near = near[bisect.bisect_right(near, floor):]
+            if near and near[-1] > ceiling[i]:
+                near = near[: bisect.bisect_right(near, ceiling[i])]
+            if pair:
+                keys[i] = [img[d] for d in closing[i]]
+            else:
+                keys[i] = [frozenset([img[d] for d in rest]) for rest in closing[i]]
+            if i == last and _masks and tried + len(near) <= room:
+                # one pass over the last depth, settled once; the degree
+                # check is left out, as a w whose link holds every key has
+                # the degree it needs
+                if pair and len(keys[i]) == 1:  # a graph's link is symmetric
+                    link_x = link[keys[i][0]]
+                    found = [
+                        base | bit
+                        for w in near
+                        if not used[w] and (bit := link_x.get(w)) is not None
+                    ]
+                else:
+                    found = []
+                    for w in near:
+                        if used[w]:
+                            continue
+                        link_w, bits = link[w], base
+                        for key in keys[i]:
+                            bit = link_w.get(key)
+                            if bit is None:
+                                break
+                            bits |= bit
+                        else:
+                            found.append(bits)
+                budget.spend(tried + len(near))
+                tried = 0
+                yield from found
+                room = budget.cap - budget.used
+                i -= 1
+                if i >= 0:
+                    used[img[i]] = 0
+                continue
+            todo[i] = iter(near)
+        need_i, keys_i = need[i], keys[i]
+        for w in todo[i]:
             tried += 1
             if tried > room:
                 budget.spend(tried)  # crosses the cap, so raises
-            if w in used or len(link[w]) < need:
+            if used[w] or degree[w] < need_i:
                 continue
-            link_w, bits = link[w], image[i]
-            for rest in closes:
-                bit = link_w.get(mapping[rest] if pair else frozenset(map(image_of, rest)))
+            link_w, bits = link[w], base
+            for key in keys_i:
+                bit = link_w.get(key)
                 if bit is None:
                     break
                 bits |= bit
             else:  # every edge closed here lands on an allowed host edge
                 break
         else:
-            stack.pop()
+            todo[i] = None
+            i -= 1
+            if i >= 0:
+                used[img[i]] = 0  # back at depth i: release its candidate
             continue
-        mapping[u] = w
-        used.add(w)
-        image[i + 1] = bits
-        if i + 1 < pattern.n:
-            stack.append(iter(candidates(i + 1)))
+        img[i] = w
+        if i < last:
+            used[w] = 1
+            image[i + 1] = bits
+            i += 1
             continue
         budget.spend(tried)
-        yield bits if _masks else tuple(mapping[v] for v in range(pattern.n))
+        yield bits if _masks else tuple(map(img.__getitem__, depth))
         tried, room = 0, budget.cap - budget.used
     budget.spend(tried)
 

@@ -14,7 +14,6 @@ from .constructions import (
     SteinerParams,
     blowup_path_host,
     clique,
-    ell_path,
     find_ell_tree_order,
     greedy_partial_steiner,
 )
@@ -159,17 +158,45 @@ def size_ramsey_upper(
 
 def _detect_ell_path(pattern: KUniformHypergraph) -> Optional[int]:
     """ell <= k/2 such that pattern is isomorphic to the ell-path on its
-    vertices, or None; the blow-up stream has no use for a larger ell."""
-    k = pattern.k
-    for ell in range(1, k // 2 + 1):
-        if pattern.n < k or (pattern.n - ell) % (k - ell):
-            continue
-        candidate = ell_path(k, ell, pattern.n)
-        if candidate.num_edges == pattern.num_edges and are_isomorphic(
-            pattern, candidate
-        ):
-            return ell
-    return None
+    vertices, or None; the blow-up stream has no use for a larger ell.
+
+    With ell <= k/2 an ell-path is a chain of edges: each edge meets only
+    its neighbours along the chain, in exactly ell vertices, so no vertex
+    lies in three edges, and the chain covers all m(k - ell) + ell vertices.
+    The pattern is checked for that shape by walking it from an end edge.
+    A single edge on k vertices is the 1-path."""
+    k, m = pattern.k, pattern.num_edges
+    if m < 2:
+        return 1 if m == 1 and pattern.n == k else None
+    incident: list[list[int]] = [[] for _ in range(pattern.n)]
+    for j, e in enumerate(pattern.edges):
+        for v in e:
+            incident[v].append(j)
+    # shared[a][b]: how many vertices edges a and b share, for edges that meet
+    shared: list[dict[int, int]] = [{} for _ in range(m)]
+    for through in incident:
+        if len(through) > 2:
+            return None
+        if len(through) == 2:
+            a, b = through
+            shared[a][b] = shared[b][a] = shared[a].get(b, 0) + 1
+    ell = next(iter(shared[0].values()), 0)
+    if not 1 <= ell <= k // 2 or pattern.n != m * (k - ell) + ell:
+        return None
+    if any(len(meets) > 2 or set(meets.values()) != {ell} for meets in shared):
+        return None
+    ends = [a for a in range(m) if len(shared[a]) == 1]
+    if len(ends) != 2:
+        return None
+    # walk the chain from one end; it is the whole pattern when it reaches
+    # every edge
+    prev, cur, seen = None, ends[0], 1
+    while True:
+        ahead = [b for b in shared[cur] if b != prev]
+        if not ahead:
+            break
+        prev, cur, seen = cur, ahead[0], seen + 1
+    return ell if seen == m else None
 
 
 def _blowup_hosts(pattern: KUniformHypergraph, max_host_edges: int) -> Iterator[KUniformHypergraph]:

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -458,6 +459,37 @@ def test_two_color_matches_the_exhaustive_walk(masks, cap):
     else:
         assert all(cm & blue and cm & ~blue for cm in masks)
         assert blue in set(proper_colorings(masks))  # no uncovered edge is blue
+
+
+@settings(max_examples=100, deadline=None)
+@given(masks=raw_mask_sets(), cap=st.integers(1, 1 << 12), chunk=st.integers(1, 6))
+def test_two_color_is_the_same_in_any_transpose_chunks(masks, cap, chunk):
+    def run():
+        budget = Budget(cap)
+        try:
+            return arrow_module._two_color(masks, budget), budget.used
+        except BudgetExceededError:
+            return None, budget.used
+
+    whole = run()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arrow_module, "_CHUNK", chunk)
+        assert run() == whole
+
+
+def test_two_color_transpose_memory_is_one_chunk():
+    # 100,000 masks over 66 edges took about 20 MB of bin() text at once
+    # when the transpose was one pass; a chunk of 4,096 takes about 1 MB
+    rng = random.Random(7)
+    masks = [rng.getrandbits(66) | 1 << 65 for _ in range(100_000)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            arrow_module._two_color(masks, Budget(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def star_masks(n):

@@ -3,9 +3,11 @@ import itertools
 import math
 import random
 import sys
+import time
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramseyforge import arrow, search
 from ramseyforge.arrow import ArrowResult, ArrowVerdict, arrows
@@ -209,14 +211,62 @@ def test_blowup_stream_is_empty_for_graphs(pattern):
 
 
 def test_ell_path_detection_tries_no_ell_over_half_k(monkeypatch):
-    # the tight 3-path is the 2-path on 5 vertices; the 1-path on them has
-    # 2 edges, so with ell <= k/2 only no isomorphism test is run
-    calls = []
-    real = search.are_isomorphic
-    monkeypatch.setattr(search, "are_isomorphic", lambda *args: calls.append(args) or real(*args))
+    # the tight 3-path is the 2-path on 5 vertices, and 2 > 3/2; the chain
+    # walk runs no isomorphism test
+    monkeypatch.setattr(search, "are_isomorphic", None)
     assert search._detect_ell_path(ell_path(3, 2, 5)) is None
-    assert calls == []
-    assert search._detect_ell_path(ell_path(3, 1, 5)) == 1 and len(calls) == 1
+    assert search._detect_ell_path(ell_path(3, 1, 5)) == 1
+    assert search._detect_ell_path(ell_path(4, 2, 8)) == 2
+    assert search._detect_ell_path(ell_path(4, 3, 6)) is None
+
+
+def reference_detect_ell_path(pattern):
+    """The detection by isomorphism test that the chain walk replaced."""
+    k = pattern.k
+    for ell in range(1, k // 2 + 1):
+        if pattern.n < k or (pattern.n - ell) % (k - ell):
+            continue
+        candidate = ell_path(k, ell, pattern.n)
+        if candidate.num_edges == pattern.num_edges and are_isomorphic(pattern, candidate):
+            return ell
+    return None
+
+
+@st.composite
+def near_ell_paths(draw):
+    """A relabelled ell-path with up to one edge dropped, one k-set added
+    and two isolated vertices added, or a random k-graph."""
+    k = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        n = draw(st.integers(k, 8))
+        pool = list(itertools.combinations(range(n), k))
+        edges = draw(st.lists(st.sampled_from(pool), max_size=5, unique=True))
+        return KUniformHypergraph.from_edges(k, n, edges)
+    ell = draw(st.integers(1, k - 1))
+    m = draw(st.integers(1, 5))
+    n = m * (k - ell) + ell + draw(st.integers(0, 2))
+    edges = [tuple(range(i * (k - ell), i * (k - ell) + k)) for i in range(m)]
+    if m > 1 and draw(st.booleans()):
+        edges.pop(draw(st.integers(0, m - 1)))
+    if draw(st.booleans()):
+        extra = tuple(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)))
+        if set(extra) not in map(set, edges):
+            edges.append(extra)
+    relabel = draw(st.permutations(range(n)))
+    return KUniformHypergraph.from_edges(k, n, [[relabel[v] for v in e] for e in edges])
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_ell_paths())
+def test_ell_path_walk_matches_the_isomorphism_test(pattern):
+    assert search._detect_ell_path(pattern) == reference_detect_ell_path(pattern)
+
+
+def test_ell_path_walk_on_the_long_loose_path():
+    # the isomorphism test took 7.75 s on the 1,200-edge loose 3-path
+    start = time.perf_counter()
+    assert search._detect_ell_path(ell_path(3, 1, 2_401)) == 1
+    assert time.perf_counter() - start < 1
 
 
 _K6_EDGES = clique(2, 6).edges
