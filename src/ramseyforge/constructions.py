@@ -122,11 +122,7 @@ def find_ell_tree_order(
     if m == 0:
         return []
     budget = Budget(node_cap)
-    edge_sets = h.edge_sets
-    incident: list[list[int]] = [[] for _ in range(h.n)]
-    for i, es in enumerate(edge_sets):
-        for v in es:
-            incident[v].append(i)
+    edge_sets, incident = h.edge_sets, h.incident
     failed: set[frozenset] = set()
     chosen: list[int] = []
     covered: set[int] = set()

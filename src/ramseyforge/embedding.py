@@ -69,10 +69,6 @@ def _pattern_order(pattern: KUniformHypergraph) -> list[int]:
     deg = pattern.degrees()
     contact = [0] * pattern.n
     done = [False] * pattern.n
-    incident: list[list[frozenset]] = [[] for _ in range(pattern.n)]
-    for es in pattern.edge_sets:
-        for v in es:
-            incident[v].append(es)
     # min-heap on (-contact, -degree, vertex); entries with a stale contact
     # are skipped when popped
     heap = [(0, -deg[v], v) for v in range(pattern.n)]
@@ -84,8 +80,8 @@ def _pattern_order(pattern: KUniformHypergraph) -> list[int]:
             continue
         done[v] = True
         placed.append(v)
-        for es in incident[v]:
-            for w in es:
+        for j in pattern.incident[v]:
+            for w in pattern.edges[j]:
                 if not done[w]:
                     contact[w] += 1
                     heapq.heappush(heap, (-contact[w], -deg[w], w))
@@ -367,11 +363,7 @@ def stabiliser_orbits(
     stabiliser of fixed (Seress, Permutation Group Algorithms, 2003).  All
     the pinned searches spend the one budget; a twin takes none."""
     deg = h.degrees()
-    edges = h.edge_index
-    incident: list[list[frozenset]] = [[] for _ in range(h.n)]
-    for es in h.edge_sets:
-        for x in es:
-            incident[x].append(es)
+    edges, edge_sets = h.edge_index, h.edge_sets
     pins = {v: v for v in fixed}
     orbits = []
     for v in _copy_plan(h)[0]:
@@ -383,7 +375,8 @@ def stabiliser_orbits(
                 continue
             # with equal degrees, the swap maps the edges through v and not
             # w onto those through w and not v as soon as it maps them into
-            if all(w in es or es - {v} | {w} in edges for es in incident[v]):
+            through = map(edge_sets.__getitem__, h.incident[v])
+            if all(w in es or es - {v} | {w} in edges for es in through):
                 swap = list(range(h.n))
                 swap[v], swap[w] = w, v
                 witness[w] = tuple(swap)

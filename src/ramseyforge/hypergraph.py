@@ -119,6 +119,16 @@ class KUniformHypergraph:
                 adj[v].update(e)
         return tuple(tuple(sorted(a - {v})) for v, a in enumerate(adj))
 
+    @cached_property
+    def incident(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, the positions in the edge list of the edges through
+        it, ascending; built on first use."""
+        through: list[list[int]] = [[] for _ in range(self.n)]
+        for j, e in enumerate(self.edges):
+            for v in e:
+                through[v].append(j)
+        return tuple(map(tuple, through))
+
     def copy_core(
         self, node_cap: int = COPY_NODE_CAP
     ) -> tuple["KUniformHypergraph", tuple[tuple[int, int], ...]]:
@@ -151,7 +161,9 @@ class KUniformHypergraph:
         return frozenset(vertices) in self.edge_index
 
     def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range for n={self.n}")
+        return len(self.incident[v])
 
     def degrees(self) -> list[int]:
         d = [0] * self.n
@@ -345,15 +357,12 @@ def _refined_colors(h: KUniformHypergraph) -> tuple:
     multiset, are invariant under relabelling the vertices.
     """
     colors = [0] * h.n
-    incident: list[list[tuple[int, ...]]] = [[] for _ in range(h.n)]
-    for e in h.edges:
-        for v in e:
-            incident[v].append(e)
+    edges = h.edges
     while True:
         sigs = []
-        for v in range(h.n):
+        for v, through in enumerate(h.incident):
             profiles = sorted(
-                tuple(sorted(colors[w] for w in e if w != v)) for e in incident[v]
+                tuple(sorted(colors[w] for w in edges[j] if w != v)) for j in through
             )
             sigs.append((colors[v], tuple(profiles)))
         relabel = {sig: i for i, sig in enumerate(sorted(set(sigs)))}

@@ -426,6 +426,8 @@ class AccountingReport:
 def vertex_hits(edges, k: int, marked, n: int) -> list[int]:
     """Per edge, how many of its k vertices lie in marked, summed column
     by column over the edge list."""
+    if not edges:  # an edgeless host may carry any k; there is no column
+        return []
     flag = [0] * n
     for v in marked:
         flag[v] = 1

@@ -168,13 +168,9 @@ def _detect_ell_path(pattern: KUniformHypergraph) -> Optional[int]:
     k, m = pattern.k, pattern.num_edges
     if m < 2:
         return 1 if m == 1 and pattern.n == k else None
-    incident: list[list[int]] = [[] for _ in range(pattern.n)]
-    for j, e in enumerate(pattern.edges):
-        for v in e:
-            incident[v].append(j)
     # shared[a][b]: how many vertices edges a and b share, for edges that meet
     shared: list[dict[int, int]] = [{} for _ in range(m)]
-    for through in incident:
+    for through in pattern.incident:
         if len(through) > 2:
             return None
         if len(through) == 2:

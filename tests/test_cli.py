@@ -543,6 +543,16 @@ def test_fuzzed_input_files_exit_cleanly(tmp_path, capsys, host, pattern, colori
         assert "Traceback" not in capsys.readouterr().err
 
 
+def test_majority_coloring_of_an_edgeless_host_with_a_huge_k(tmp_path):
+    # a fuzzed host file; an edgeless host may carry any k, so the
+    # colouring must not walk range(k) edge columns
+    host = tmp_path / "host.json"
+    host.write_text('{"k": 274877906945, "n": 1, "edges": []}')
+    out = tmp_path / "out.json"
+    assert main(["color", "majority", "--host", str(host), "--out", str(out)]) == 0
+    assert load(out) == []
+
+
 # -- fuzzing the numeric arguments ---------------------------------------------
 
 

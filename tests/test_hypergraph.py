@@ -209,6 +209,24 @@ def test_neighbors_match_edges(h):
         assert h.neighbors[v] == tuple(want)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from((2, 3, 4)).flatmap(lambda k: small_hypergraphs(k, min_n=k, max_n=k + 3)),
+    st.integers(0, 3),
+)
+def test_incident_lists_the_edges_through_each_vertex(h, isolated):
+    h = KUniformHypergraph(h.k, h.n + isolated, h.edges)
+    degrees = h.degrees()
+    for v in range(h.n):
+        through = h.incident[v]
+        assert list(through) == sorted(set(through))
+        assert set(through) == {j for j, e in enumerate(h.edges) if v in e}
+        assert h.degree(v) == len(through) == degrees[v]
+    for v in (-1, h.n):
+        with pytest.raises(ValueError):
+            h.degree(v)
+
+
 def independence_number_bruteforce(h):
     """Exhaustive subset enumeration; oracle for small n only."""
     edge_sets = h.edge_sets

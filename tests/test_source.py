@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from ramseyforge.cli import main
+from ramseyforge.constructions import clique
+from ramseyforge.hypergraph import KUniformHypergraph
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(
@@ -63,20 +65,33 @@ def test_bench_trace_sites_resolve():
 
 def test_bench_trace_layers_record_spans(tmp_path):
     # a site that resolves but is no longer called would silently drop its
-    # layer from a traced run; run a small pipeline and look for each span
-    tracer = _bench_tracing().Tracer()
+    # layer from a traced run; run one small call of each traced command
+    # and look for a span of every layer
+    tracing = _bench_tracing()
+    k3, k5, star = (tmp_path / f"{name}.json" for name in ("k3", "k5", "star"))
+    k3.write_text(clique(2, 3).to_json())
+    k5.write_text(clique(2, 5).to_json())
+    star.write_text(KUniformHypergraph.from_edges(2, 4, [(0, 1), (0, 2), (0, 3)]).to_json())
     out = tmp_path / "report.json"
+    runs = [
+        ["arrows", "--host", str(k5), "--pattern", str(k3)],
+        ["ramsey", "--pattern", str(k3), "--cap", "6"],
+        # K1,3: the exact scan dedupes hosts with equal invariants
+        ["size-ramsey", "exact", "--pattern", str(star), "--vcap", "6", "--ecap", "5"],
+        ["size-ramsey", "upper", "--pattern", str(star), "--max-host-edges", "10"],
+        ["gadget-audit", "--t", "2", "--q", "2"],
+        ["randomlab", "pipeline", "--n", "16", "--p", "0.6", "--m", "4", "--seed", "1"],
+    ]
+    tracer = tracing.Tracer()
     tracer.install()
     try:
-        argv = ["randomlab", "pipeline", "--n", "16", "--p", "0.6", "--m", "4",
-                "--seed", "1", "--out", str(out)]
-        assert main(argv) == 0
+        for argv in runs:
+            assert main(argv + ["--out", str(out)]) == 0, argv
     finally:
         tracer.uninstall()
-    for layer in ("randomlab.gnp", "constructions.clique_hypergraph",
-                  "constructions.enumerate_cliques", "randomlab.clique_stats",
-                  "randomlab.iterated_procedure"):
-        assert layer in tracer.names, layer
+    missing = {layer for _, _, layer in tracing.SITES} - set(tracer.names)
+    assert not missing, sorted(missing)
+    # the pipeline ran last, so out holds its report
     t_k = json.loads(out.read_text())["clique_stats"]["t_k"]
     assert t_k > 0
     assert tracer.counts[("constructions.clique_hypergraph", "edges")] == t_k
