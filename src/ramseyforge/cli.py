@@ -437,7 +437,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CapsTooSmallError as exc:
         print(f"caps too small: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, KeyError, OverflowError) as exc:
+        # an OverflowError comes from a numeric argument too large for a float
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -11,6 +11,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator, Optional
 
 from .errors import ELL_TREE_NODE_CAP, Budget, ExhaustedPermutationsError, UnreachableOrderError
@@ -363,20 +364,29 @@ def clique_hypergraph(g: KUniformHypergraph, k: int) -> KUniformHypergraph:
 
 def enumerate_cliques(g: KUniformHypergraph, size: int) -> list[tuple[int, ...]]:
     """All cliques of the given order in a graph, in lexicographic order, by
-    ordered extension (Chiba and Nishizeki 1985)."""
+    ordered extension (Chiba and Nishizeki 1985).  A node's candidates are an
+    ascending list: its parent's after the added vertex, filtered through that
+    vertex's higher neighbours.  The last two orders come out of ``zip`` over
+    ``repeat`` iterators of the prefix, with no Python-level work per clique."""
     if g.k != 2:
         raise ValueError("clique enumeration needs a graph (k=2)")
-    if size < 1:
+    if not 1 <= size <= g.n:
         return []
+    if size <= 2:  # the vertices, or the edges in their canonical order
+        return [(v,) for v in range(g.n)] if size == 1 else list(g.edges)
     later: list[set[int]] = [set() for _ in range(g.n)]  # higher neighbours
     for v, w in g.edges:
         later[v].add(w)
     out: list[tuple[int, ...]] = []
-    stack = [((), set(range(g.n)))]  # (clique, its common higher neighbours)
+    stack = [((v,), sorted(later[v])) for v in reversed(range(g.n))]  # (clique, candidates)
     while stack:
         cliq, common = stack.pop()
-        if len(cliq) == size - 1:
-            out.extend(cliq + (w,) for w in sorted(common))
-        else:  # least vertex on top, so cliques come out in lexicographic order
-            stack.extend((cliq + (w,), common & later[w]) for w in sorted(common, reverse=True))
+        if len(cliq) < size - 2:  # least vertex on top, so the output is lexicographic
+            for i in reversed(range(len(common))):
+                w = common[i]
+                stack.append((cliq + (w,), [*filter(later[w].__contains__, common[i + 1 :])]))
+        else:
+            heads = [*map(repeat, cliq)]
+            for i, w in enumerate(common):
+                out.extend(zip(*heads, repeat(w), filter(later[w].__contains__, common[i + 1 :])))
     return out

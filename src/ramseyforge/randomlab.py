@@ -96,7 +96,7 @@ def gnp(params: GnpParams) -> KUniformHypergraph:
 
 @dataclass
 class CliqueStatsReport:
-    t_ell: dict[int, int]  # order -> clique count, orders 1..k
+    t_ell: dict[int, int]  # order -> clique count, orders 1..k up to the first empty one, and k
     deg_k: list[int]  # per-vertex count of k-cliques through it
     t_k: int
     x_ab: int
@@ -143,7 +143,10 @@ def clique_stats(
         raise ValueError("A must be disjoint from the family's vertices")
 
     t_ell = {1: g.n, 2: g.num_edges}
-    t_ell.update((ell, len(enumerate_cliques(g, ell))) for ell in range(3, k))
+    for ell in range(3, k):
+        if not t_ell[ell - 1]:  # no order past an empty one has a clique
+            break
+        t_ell[ell] = len(enumerate_cliques(g, ell))
     t_ell[k] = cliques.num_edges
 
     # the k-cliques through member b are b plus a common neighbour of b's

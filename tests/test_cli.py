@@ -553,6 +553,18 @@ def test_majority_coloring_of_an_edgeless_host_with_a_huge_k(tmp_path):
     assert load(out) == []
 
 
+def test_randomlab_pipeline_with_a_huge_k_stops_at_the_first_empty_order(tmp_path):
+    # no order past an empty one has a clique, so t_ell stops there and
+    # holds t_k; it used to enumerate every order below k
+    out = tmp_path / "out.json"
+    argv = ["randomlab", "pipeline", "--n", "8", "--p", "0.6", "--m", "2",
+            "--k", "1000000000000", "--out", str(out)]
+    assert main(argv) == 0
+    stats = load(out)["clique_stats"]
+    assert stats["t_ell"] == {"1": 8, "2": 14, "3": 4, "4": 0, "1000000000000": 0}
+    assert stats["t_k"] == 0
+
+
 # -- fuzzing the numeric arguments ---------------------------------------------
 
 
@@ -566,6 +578,8 @@ def test_majority_coloring_of_an_edgeless_host_with_a_huge_k(tmp_path):
     ["size-ramsey", "exact", "--pattern", "K3", "--vcap", "-3"],
     ["size-ramsey", "exact", "--pattern", "K3", "--ecap", "-3"],
     ["randomlab", "pipeline", "--n", "8", "--p", "1.5", "--m", "2"],
+    ["randomlab", "pipeline", "--n", "8", "--d", "1", "--m", "2", "--k", "1000000000000"],
+    ["randomlab", "pipeline", "--n", "8", "--d", "1", "--m", "2", "--k", str(10**200)],
     ["size-ramsey", "upper", "--pattern", "K3", "--max-host-edges", "-3"],
     ["ramsey", "--pattern", "K3", "--cap", "-3"],
     ["ramsey", "--pattern", "K3", "--cap", "8", "--budget", "-3"],
@@ -629,8 +643,9 @@ def test_fuzzed_numeric_arguments_exit_cleanly(tmp_path, capsys):
             argv = ["color", scheme, "--host", host, "--n", small(), "--d", small(),
                     "--t", t, "--q", q]
         elif command == "randomlab":
+            k = small() if rng.random() < 0.9 else "1000000000000"
             argv = ["randomlab", "pipeline", "--n", str(rng.randint(-1, 12)),
-                    "--k", small(), "--m", small()]
+                    "--k", k, "--m", small()]
             if rng.random() < 0.6:
                 argv += ["--p", rng.choice(["-0.5", "0", "0.4", "1", "1.5"])]
             if rng.random() < 0.6:

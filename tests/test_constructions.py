@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import time
 import types
 
 import pytest
@@ -27,6 +28,7 @@ from ramseyforge.constructions import (
 )
 from ramseyforge.errors import BudgetExceededError, UnreachableOrderError
 from ramseyforge.hypergraph import KUniformHypergraph, are_isomorphic
+from ramseyforge.randomlab import GnpParams, gnp
 
 
 def test_ell_path_interval_formula():
@@ -334,6 +336,47 @@ def test_enumerate_cliques_matches_bruteforce():
             if all(g.is_edge(p) for p in itertools.combinations(c, 2))
         ]
         assert sorted(enumerate_cliques(g, size)) == sorted(naive)
+
+
+def reference_cliques(g, size):
+    """enumerate_cliques before its candidates became sorted lists, verbatim."""
+    if g.k != 2:
+        raise ValueError("clique enumeration needs a graph (k=2)")
+    if size < 1:
+        return []
+    later: list[set[int]] = [set() for _ in range(g.n)]  # higher neighbours
+    for v, w in g.edges:
+        later[v].add(w)
+    out: list[tuple[int, ...]] = []
+    stack = [((), set(range(g.n)))]  # (clique, its common higher neighbours)
+    while stack:
+        cliq, common = stack.pop()
+        if len(cliq) == size - 1:
+            out.extend(cliq + (w,) for w in sorted(common))
+        else:  # least vertex on top, so cliques come out in lexicographic order
+            stack.extend((cliq + (w,), common & later[w]) for w in sorted(common, reverse=True))
+    return out
+
+
+# dense hosts are smaller, so every order up to 8 stays quick
+@pytest.mark.parametrize(
+    "n, p", [(80, 0.1), (80, 0.3), (80, 0.5), (60, 0.6), (40, 0.7), (12, 0.7), (16, 1.0)]
+)
+def test_enumerate_cliques_matches_the_old_kernel_on_gnp(n, p):
+    for seed in range(3):
+        g = gnp(GnpParams(n=n, p=p, seed=seed))
+        for size in range(9):
+            assert enumerate_cliques(g, size) == reference_cliques(g, size), (seed, size)
+
+
+def test_enumerate_cliques_on_empty_hosts_and_a_huge_order():
+    for g in (KUniformHypergraph(2, 0, ()), KUniformHypergraph(2, 30, ())):
+        for size in range(9):
+            assert enumerate_cliques(g, size) == reference_cliques(g, size)
+    g = gnp(GnpParams(n=80, p=0.5, seed=0))
+    start = time.perf_counter()
+    assert enumerate_cliques(g, 10**12) == []
+    assert time.perf_counter() - start < 0.1
 
 
 @st.composite
