@@ -50,15 +50,14 @@ def _padded(host: KUniformHypergraph, n: int) -> KUniformHypergraph:
     return host if host.n >= n else KUniformHypergraph(host.k, n, host.edges)
 
 
-def _below_floor(host: KUniformHypergraph, pattern: KUniformHypergraph) -> bool:
+def _below_floor(host: KUniformHypergraph, pattern: KUniformHypergraph, wanted: list[int]) -> bool:
     """A host with fewer edges or vertices than the pattern holds no copy
     of it: copies are injective on every pattern vertex.  Nor does a host
-    whose degrees, sorted descending, fall below the pattern's at some
-    position: a copy maps the pattern's vertices to distinct host vertices
-    of no smaller degree."""
+    whose degrees, sorted descending, fall below wanted, the pattern's
+    sorted the same way, at some position: a copy maps the pattern's
+    vertices to distinct host vertices of no smaller degree."""
     if host.num_edges < pattern.num_edges or host.n < pattern.n:
         return True
-    wanted = sorted(pattern.degrees(), reverse=True)
     return any(h < p for h, p in zip(sorted(host.degrees(), reverse=True), wanted))
 
 
@@ -68,8 +67,9 @@ def _first_arrowing(
     """The first of hosts that arrows pattern, or None; hosts below the floor
     are skipped.  An Unknown verdict raises BudgetExceededError: that host
     might arrow, so no later host can be called the first."""
+    wanted = sorted(pattern.degrees(), reverse=True)
     for host in hosts:
-        if _below_floor(host, pattern):
+        if _below_floor(host, pattern, wanted):
             continue
         verdict = arrows(host, pattern, node_cap)
         if verdict.result == ArrowResult.UNKNOWN:
@@ -133,6 +133,7 @@ def size_ramsey_upper(
     methods: dict = {}
     tried: set[KUniformHypergraph] = set()
     _, core = _edge_core(pattern)
+    wanted = sorted(core.degrees(), reverse=True)
     streams = (
         ("clique-host", _cliques(core.k, core.n, max_host_edges)),
         ("blowup-host", _blowup_hosts(core, max_host_edges)),
@@ -145,7 +146,7 @@ def size_ramsey_upper(
                 break
             if best is not None and host.num_edges >= best.num_edges:
                 continue
-            if host in tried or _below_floor(host, core):
+            if host in tried or _below_floor(host, core, wanted):
                 continue
             tried.add(host)
             if arrows(host, core, node_cap).result == ArrowResult.ARROWS:

@@ -140,25 +140,31 @@ def minus_edges(host, drop):
     )
 
 
-@pytest.mark.parametrize("host, pattern, result, nodes", [
-    # complete hosts branch on orbits; the plain search's counts follow
-    (clique(2, 9), cycle(5), ArrowResult.ARROWS, 329),  # 2,942
-    (clique(2, 10), K4_MINUS_E, ArrowResult.ARROWS, 1_406),  # 31,347
-    (clique(2, 8), cycle(6), ArrowResult.ARROWS, 4_983),  # 23,478
-    (clique(2, 9), K2_3, ArrowResult.NOT_ARROWS, 4_297),  # 17,972
-    (clique(2, 10), cycle(7), ArrowResult.NOT_ARROWS, 1_110),  # 1,110
+@pytest.mark.parametrize("host, pattern, result, nodes, cap", [
+    # complete hosts branch on orbits, ties in colex order; the counts in
+    # index order follow, then the plain search's
+    (clique(2, 9), cycle(5), ArrowResult.ARROWS, 335, None),  # 329; 2,942
+    (clique(2, 10), K4_MINUS_E, ArrowResult.ARROWS, 538, None),  # 1,406; 31,347
+    (clique(2, 8), cycle(6), ArrowResult.ARROWS, 4_508, None),  # 4,983; 23,478
+    (clique(2, 9), K2_3, ArrowResult.NOT_ARROWS, 1_093, None),  # 4,297; 17,972
+    (clique(2, 10), cycle(7), ArrowResult.NOT_ARROWS, 22, None),  # 1,110; 1,110
+    (clique(2, 11), cycle(7), ArrowResult.NOT_ARROWS, 23, 3_000),  # 2,402
     # other hosts search node for node as without orbital branching
-    (plain_host(clique(2, 9)), cycle(5), ArrowResult.ARROWS, 2_942),
-    (minus_edges(clique(2, 9), [(0, 1)]), cycle(5), ArrowResult.ARROWS, 3_050),
+    (plain_host(clique(2, 9)), cycle(5), ArrowResult.ARROWS, 2_942, None),
+    (minus_edges(clique(2, 9), [(0, 1)]), cycle(5), ArrowResult.ARROWS, 3_050, None),
     (
         minus_edges(clique(2, 8), [(0, 1), (2, 3), (4, 5), (6, 7), (0, 2)]),
         cycle(5),
         ArrowResult.NOT_ARROWS,
         17,
+        None,
     ),
-], ids=["K9-C5", "K10-K4e", "K8-C6", "K9-K23", "K10-C7", "K9+1-C5", "K9-1-C5", "K8-5-C5"])
-def test_node_counts_are_pinned(host, pattern, result, nodes):
-    v = arrows(host, pattern)
+], ids=[
+    "K9-C5", "K10-K4e", "K8-C6", "K9-K23", "K10-C7", "K11-C7", "K9+1-C5", "K9-1-C5",
+    "K8-5-C5",
+])
+def test_node_counts_are_pinned(host, pattern, result, nodes, cap):
+    v = arrows(host, pattern) if cap is None else arrows(host, pattern, node_cap=cap)
     assert (v.result, v.nodes) == (result, nodes)
 
 
@@ -191,7 +197,7 @@ def test_seeded_corpus_is_pinned():
     assert len(entries) == 150
     assert len({e[0] for e in entries}) == 3
     digest = hashlib.sha256(repr(entries).encode()).hexdigest()[:16]
-    assert digest == "5ae110f4beda6d90"
+    assert digest == "f65f049f8a43837c"
 
 
 def test_k10_k4e_fits_the_frontier_budget():
@@ -204,6 +210,37 @@ def test_k10_k23_arrows_under_the_default_caps():
     start = time.perf_counter()
     assert arrows(clique(2, 10), K2_3).result == ArrowResult.ARROWS
     assert time.perf_counter() - start < 60
+
+
+def has_cycle(n, edges, length):
+    """A cycle of the given length, by a plain depth-first search from each
+    vertex over the larger vertices, back to the start."""
+    adj = [set() for _ in range(n)]
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    for start in range(n):
+        stack = [(start, (start,))]
+        while stack:
+            v, path = stack.pop()
+            if len(path) == length:
+                if start in adj[v]:
+                    return True
+                continue
+            stack.extend((w, path + (w,)) for w in adj[v] if w > start and w not in path)
+    return False
+
+
+def test_k12_c7_not_arrows_under_the_default_caps():
+    # with ties in index order this took 285,753 nodes; colex ties take 60
+    start = time.perf_counter()
+    v = arrows(clique(2, 12), cycle(7))
+    assert time.perf_counter() - start < 10
+    assert v.result == ArrowResult.NOT_ARROWS
+    for color in (RED, BLUE):
+        edges = [e for e, c in zip(v.certificate.host.edges, v.certificate.colors) if c == color]
+        assert not has_cycle(12, edges, 7)
+    assert has_cycle(12, v.certificate.host.edges, 7)
 
 
 def test_propagation_shrinks_the_k8_c5_tree():

@@ -131,7 +131,7 @@ def test_ramsey_command(tmp_path):
 
 
 def test_ramsey_budget_exit_names_the_host(tmp_path, capsys):
-    # K5..K7 do not arrow C5, and K8 is not decided within 100 nodes: no
+    # K5..K8 do not arrow C5, and K9 is not decided within 100 nodes: no
     # report, which would read as "no clique up to the cap arrows"
     c5 = write_hg(tmp_path / "c5.json", KUniformHypergraph.from_edges(
         2, 5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]))
@@ -139,7 +139,7 @@ def test_ramsey_budget_exit_names_the_host(tmp_path, capsys):
     assert main(["ramsey", "--pattern", c5, "--cap", "9", "--budget", "100",
                  "--out", str(rep)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("budget exhausted:") and "8 vertices and 28 edges" in err
+    assert err.startswith("budget exhausted:") and "9 vertices and 36 edges" in err
     assert not rep.exists()
 
 
