@@ -305,9 +305,7 @@ def _cmd_randomlab(args) -> int:
 def _cmd_gadget_audit(args) -> int:
     tree = binary_three_tree(args.t)
     members, union = gadget_family(args.t, args.q, args.seed)
-    iso = [
-        [bool(are_isomorphic(a, b)) for b in members] for a in members
-    ]
+    iso = [[are_isomorphic(a, b) for b in members] for a in members]
     alpha = independence_number(union)
     body = {
         "tree_vertices": tree.n,

@@ -63,10 +63,9 @@ def _allowed_edges(
     }
 
 
-def _pattern_order(pattern: KUniformHypergraph) -> list[int]:
+def _pattern_order(pattern: KUniformHypergraph, deg: list[int]) -> list[int]:
     """Connectivity-first vertex order: each next vertex maximizes contact
-    with the already placed ones (ties: higher degree, lower index)."""
-    deg = pattern.degrees()
+    with the already placed ones (ties: higher degree deg, lower index)."""
     contact = [0] * pattern.n
     done = [False] * pattern.n
     # min-heap on (-contact, -degree, vertex); entries with a stale contact
@@ -99,9 +98,10 @@ def _copy_plan(pattern: KUniformHypergraph) -> tuple:
     of order[i]'s image (see _host_plan).  anchor[i] is the depth of the
     first placed pattern neighbour of order[i], if any, whose image the
     image of order[i] must share a host edge with.  need[i] is the degree
-    of order[i]."""
+    of order[i], from the one degrees() pass the plan makes."""
     if "_copy_plan" not in pattern.__dict__:
-        order = _pattern_order(pattern)
+        deg = pattern.degrees()
+        order = _pattern_order(pattern, deg)
         depth = [0] * pattern.n
         for i, v in enumerate(order):
             depth[v] = i
@@ -114,7 +114,6 @@ def _copy_plan(pattern: KUniformHypergraph) -> tuple:
             min([depth[w] for w in pattern.neighbors[u] if depth[w] < i], default=None)
             for i, u in enumerate(order)
         ]
-        deg = pattern.degrees()
         need = [deg[u] for u in order]
         pattern.__dict__["_copy_plan"] = order, depth, closing, anchor, need
     return pattern.__dict__["_copy_plan"]
@@ -169,17 +168,12 @@ def enumerate_copies(
     the edges a depth closes are built once per visit of that depth, not
     once per candidate.
 
-    node_cap counts the candidates tried.  The search counts them in a
-    local int and settles the count with one budget.spend() before each
-    yield, at exhaustion, and as soon as it passes the room the budget had
-    left, which raises at the same candidate as one spend() per candidate
-    would.  The room is read again on each resume.  In mask mode the last
-    depth is one pass: when all its candidates fit in the room left, it
-    collects the masks of the survivors, settles the count with them all
-    once, and only then yields them; otherwise it counts them one by one.
-    So a private budget counts and raises exactly as one spend() per
-    candidate would, but a mask search paused at a yield has already spent
-    the rest of that depth's candidates.
+    node_cap counts the candidates tried, one unit each, in map and mask
+    mode alike.  The search counts them in a local int and settles the
+    count with one budget.spend() before each yield, at exhaustion, and as
+    soon as it passes the room the budget had left: after each yield the
+    budget reads as with one spend() per candidate, and it raises at the
+    same candidate.  The room is read again on each resume.
 
     Private keywords: _pins maps pattern vertices to the only host vertex
     each may take.  _less holds pairs (v, w), v placed before w in the
@@ -251,38 +245,6 @@ def enumerate_copies(
                 keys[i] = [img[d] for d in closing[i]]
             else:
                 keys[i] = [frozenset([img[d] for d in rest]) for rest in closing[i]]
-            if i == last and _masks and tried + len(near) <= room:
-                # one pass over the last depth, settled once; the degree
-                # check is left out, as a w whose link holds every key has
-                # the degree it needs
-                if pair and len(keys[i]) == 1:  # a graph's link is symmetric
-                    link_x = link[keys[i][0]]
-                    found = [
-                        base | bit
-                        for w in near
-                        if not used[w] and (bit := link_x.get(w)) is not None
-                    ]
-                else:
-                    found = []
-                    for w in near:
-                        if used[w]:
-                            continue
-                        link_w, bits = link[w], base
-                        for key in keys[i]:
-                            bit = link_w.get(key)
-                            if bit is None:
-                                break
-                            bits |= bit
-                        else:
-                            found.append(bits)
-                budget.spend(tried + len(near))
-                tried = 0
-                yield from found
-                room = budget.cap - budget.used
-                i -= 1
-                if i >= 0:
-                    used[img[i]] = 0
-                continue
             todo[i] = iter(near)
         need_i, keys_i = need[i], keys[i]
         for w in todo[i]:
@@ -362,11 +324,12 @@ def stabiliser_orbits(
     swap for a twin, else that copy.  Together they generate the
     stabiliser of fixed (Seress, Permutation Group Algorithms, 2003).  All
     the pinned searches spend the one budget; a twin takes none."""
-    deg = h.degrees()
+    order, depth, _, _, need = _copy_plan(h)
+    deg = [need[i] for i in depth]
     edges, edge_sets = h.edge_index, h.edge_sets
     pins = {v: v for v in fixed}
     orbits = []
-    for v in _copy_plan(h)[0]:
+    for v in order:
         if v in pins:
             continue
         witness = {}  # orbit member w != v -> its automorphism, by ascending w

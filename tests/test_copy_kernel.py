@@ -2,10 +2,12 @@
 
 reference_copies is the earlier enumerate_copies, kept verbatim apart from
 its plans: reference_copy_plan and reference_host_plan are the earlier
-_copy_plan and _host_plan without their caches, so that they share nothing
-with the kernel under test.  The kernel must try the same candidates in the
-same order: the same maps or masks come out, in the same order, and the
-budget counts the same candidates, raising at the same one.
+_copy_plan and _host_plan without their caches, built on the documented
+vertex order of reference_pattern_order and an allowed-edge map of their
+own, so that they share nothing with the kernel under test.  The kernel
+must try the same candidates in the same order: the same maps or masks come
+out, in the same order, and the budget counts the same candidates, reading
+the same after each yield and raising at the same candidate.
 """
 
 import bisect
@@ -16,13 +18,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramseyforge.constructions import clique, ell_path
-from ramseyforge.embedding import _allowed_edges, _pattern_order, enumerate_copies
+from ramseyforge.embedding import enumerate_copies
 from ramseyforge.errors import COPY_NODE_CAP, Budget, BudgetExceededError
 from ramseyforge.hypergraph import BLUE, RED, EdgeColoring, KUniformHypergraph
 
 
+def reference_pattern_order(pattern):
+    """The documented rule, one max() per step: most contact with the placed
+    vertices, then higher degree, then lower index."""
+    deg = pattern.degrees()
+    placed, remaining = [], set(range(pattern.n))
+    contact = lambda u: sum(1 for e in pattern.edges if u in e for w in e if w in placed)
+    while remaining:
+        v = max(remaining, key=lambda u: (contact(u), deg[u], -u))
+        placed.append(v)
+        remaining.remove(v)
+    return placed
+
+
 def reference_copy_plan(pattern):
-    order = _pattern_order(pattern)
+    order = reference_pattern_order(pattern)
     pos = {v: i for i, v in enumerate(order)}
     closing: list[list] = [[] for _ in range(pattern.n)]
     for e in pattern.edges:
@@ -38,7 +53,10 @@ def reference_copy_plan(pattern):
 
 def reference_host_plan(host, coloring, color):
     link: list[dict] = [{} for _ in range(host.n)]
-    for es, bit in _allowed_edges(host, coloring, color).items():
+    for i, e in enumerate(host.edges):
+        if color is not None and coloring.colors[i] != color:
+            continue
+        es, bit = frozenset(e), 1 << i
         for w in es:
             rest = es - {w}
             link[w][next(iter(rest)) if host.k == 2 else rest] = bit
@@ -143,19 +161,20 @@ def reference_copies(
 
 
 def run(search, pattern, host, *args, cap=10**9, **kw):
-    """(what the search yielded, budget.used, whether it raised)."""
+    """(the trail, budget.used at the end, whether it raised); the trail
+    pairs each item the search yielded with budget.used just after it."""
     budget = Budget(cap)
     out = []
     try:
         for item in search(pattern, host, *args, _budget=budget, **kw):
-            out.append(item)
+            out.append((item, budget.used))
     except BudgetExceededError:
         return out, budget.used, True
     return out, budget.used, False
 
 
 def same_search(pattern, host, *args, **kw):
-    """Both kernels on a fresh budget: the same output, used and raise."""
+    """Both kernels on a fresh budget: the same trail, used and raise."""
     want = run(reference_copies, pattern, host, *args, **kw)
     assert run(enumerate_copies, pattern, host, *args, **kw) == want
     return want
@@ -270,8 +289,9 @@ def test_same_count_on_a_shared_budget(masks):
                 pattern, host, kw = searches[name]
                 kw = dict(kw)
                 coloring, color = kw.pop("coloring", None), kw.pop("color", None)
-                out.append(list(search(pattern, host, coloring, color, _budget=budget,
-                                       _masks=masks, **kw)))
+                found = search(pattern, host, coloring, color, _budget=budget,
+                               _masks=masks, **kw)
+                out.append([(item, budget.used) for item in found])
         except BudgetExceededError:
             return out, budget.used, True
         return out, budget.used, False
@@ -283,3 +303,32 @@ def test_same_count_on_a_shared_budget(masks):
     # "pins" 545
     for cap in (whole[1] - 1, 41_358, 30_000, 28_881):
         assert shared(enumerate_copies, cap) == shared(reference_copies, cap), cap
+
+
+def test_paused_mask_search_on_a_shared_budget():
+    # a mask search paused at its first yield while a map search spends the
+    # shared budget resumes with only the room that is left, and the cap is
+    # crossed at the same candidate in either of them
+    searches = larger_instances()
+
+    def interleaved(search, cap):
+        budget = Budget(cap)
+        out = []
+        try:
+            pattern, host, kw = searches["plain"]
+            paused = search(pattern, host, _budget=budget, _masks=True, **kw)
+            out.append((next(paused), budget.used))
+            pattern, host, kw = searches["pins"]
+            out += [(item, budget.used) for item in search(pattern, host, _budget=budget, **kw)]
+            out += [(item, budget.used) for item in paused]
+        except BudgetExceededError:
+            return out, budget.used, True
+        return out, budget.used, False
+
+    whole = interleaved(reference_copies, 10**9)
+    assert interleaved(enumerate_copies, 10**9) == whole
+    # the first mask comes after 11 candidates and "pins" tries 545: caps
+    # crossed late and early in the resumed search, inside "pins", at its
+    # first candidate and before the first mask
+    for cap in (whole[1] - 1, 2_000, 300, 11, 10):
+        assert interleaved(enumerate_copies, cap) == interleaved(reference_copies, cap), cap

@@ -22,6 +22,7 @@ from ramseyforge.embedding import (
 )
 from ramseyforge.errors import Budget, BudgetExceededError, UnreachableOrderError
 from ramseyforge.hypergraph import BLUE, RED, EdgeColoring, KUniformHypergraph
+from test_copy_kernel import reference_pattern_order
 
 
 def bruteforce_copies(pattern, host, allowed=None):
@@ -236,7 +237,7 @@ def test_enumerate_copies_in_search_order(pair):
     # out, ordered by its images along the pattern order as when every host
     # vertex was a candidate at every depth
     pattern, host = pair
-    order = _pattern_order(pattern)
+    order = _pattern_order(pattern, pattern.degrees())
     want = sorted(bruteforce_copies(pattern, host), key=lambda img: [img[v] for v in order])
     assert list(enumerate_copies(pattern, host)) == want
 
@@ -345,23 +346,10 @@ def test_embedding_is_valid_needs_one_host_vertex_per_pattern_vertex():
         assert not Embedding(bad).is_valid(pendant, k4)
 
 
-def reference_pattern_order(pattern):
-    """The documented rule, one max() per step: most contact with the placed
-    vertices, then higher degree, then lower index."""
-    deg = pattern.degrees()
-    placed, remaining = [], set(range(pattern.n))
-    contact = lambda u: sum(1 for e in pattern.edges if u in e for w in e if w in placed)
-    while remaining:
-        v = max(remaining, key=lambda u: (contact(u), deg[u], -u))
-        placed.append(v)
-        remaining.remove(v)
-    return placed
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from((2, 3)).flatmap(lambda k: small_k_graphs(k, 8, 8)))
 def test_pattern_order_follows_the_documented_rule(pattern):
-    assert _pattern_order(pattern) == reference_pattern_order(pattern)
+    assert _pattern_order(pattern, pattern.degrees()) == reference_pattern_order(pattern)
 
 
 @st.composite
