@@ -286,7 +286,7 @@ def _cmd_randomlab(args) -> int:
     body = {
         "graph_edges": graph.num_edges,
         "clique_stats": {
-            "t_ell": {str(l): c for l, c in stats.t_ell.items()},
+            "t_ell": stats.t_ell,
             "t_k": stats.t_k,
             "deg_k_max": max(stats.deg_k, default=0),
             "nu": stats.nu,
@@ -435,7 +435,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CapsTooSmallError as exc:
         print(f"caps too small: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (OSError, json.JSONDecodeError, ValueError, KeyError, OverflowError) as exc:
+    except (OSError, ValueError, KeyError, OverflowError) as exc:
         # an OverflowError comes from a numeric argument too large for a float
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -11,10 +11,11 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import repeat
-from typing import Iterator, Optional
+from typing import Optional
 
-from .errors import ELL_TREE_NODE_CAP, Budget, ExhaustedPermutationsError, UnreachableOrderError
+from .errors import ExhaustedPermutationsError, UnreachableOrderError
 from .hypergraph import KUniformHypergraph, are_isomorphic
 
 # overlap sequences random_ell_tree draws before UnreachableOrderError
@@ -104,90 +105,52 @@ def random_ell_tree(k: int, ell: int, n: int, seed: int) -> KUniformHypergraph:
     )
 
 
-def find_ell_tree_order(
-    h: KUniformHypergraph, ell: int, node_cap: int = ELL_TREE_NODE_CAP
-) -> Optional[list[int]]:
+def find_ell_tree_order(h: KUniformHypergraph, ell: int) -> Optional[list[int]]:
     """An edge ordering witnessing that h is an ell-tree, or None.
 
-    Searches over orderings depth-first on an explicit stack (greedy-first
-    tie order), one budget unit per prefix entered; whether a prefix can be
-    extended depends only on the chosen edge set, so failed subsets are
-    memoized.  An edge extends a prefix when it meets the covered vertices
-    in at most ell of them, all inside one chosen edge: first the edges
-    that meet them, most shared vertices first, then those that miss them,
-    each group in index order.
+    A valid order lists the edges so that each meets the union of the earlier
+    ones in at most ell vertices, all inside one earlier edge; a leaf meets the
+    union of all the other edges that way.  Leaves are stripped, highest index
+    first (an ell-path comes back in index order), until none is left: the
+    reversed stripping order, or None if the heap runs dry first.  Stripping f
+    can change the leaf status only of edges meeting f, so only those are queued
+    again.  As in ear removal for alpha-acyclicity (Beeri et al. 1983), no search:
+
+    - each stripped edge was a leaf of what was left, so a finished stripping
+      is a valid order reversed;
+    - the last edge of a valid order is a leaf, so stripping an ell-tree never
+      stalls if dropping any leaf f of an ell-tree E leaves one.  Induct on |E|,
+      e the last edge of a valid order of E.  If e = f, done.  Otherwise f is a
+      leaf of E - e, and e can be appended to a valid order of E - e - f, save
+      when f's attachment lies only in e and e's only in f.  Then f and e meet
+      the rest of E only in S = f & e, and swapping the vertices of f - S with
+      those of e - S maps E - f onto E - e, an ell-tree.
     """
     if not 1 <= ell < h.k:
         raise ValueError(f"need 1 <= ell < k, got ell={ell}, k={h.k}")
-    m = h.num_edges
-    if m == 0:
-        return []
-    budget = Budget(node_cap)
-    edge_sets, incident = h.edge_sets, h.incident
-    failed: set[frozenset] = set()
-    chosen: list[int] = []
-    covered: set[int] = set()
-    added: list[set[int]] = []  # the vertices each chosen edge added to covered
-    through: list[list[int]] = [[] for _ in range(h.n)]  # chosen edges per vertex
-    meet = [0] * m  # meet[i]: how many vertices of edge i are covered
-    touching: set[int] = set()  # the edges not chosen that meet covered
-
-    def choose(j: int) -> None:
-        chosen.append(j)
-        added.append(edge_sets[j] - covered)
-        covered.update(added[-1])
-        touching.discard(j)
-        for v in edge_sets[j]:
-            through[v].append(j)
-        for v in added[-1]:
-            for i in incident[v]:
-                meet[i] += 1
-                if i != j:
-                    touching.add(i)
-
-    def unchoose() -> None:
-        j = chosen.pop()
-        for v in added[-1]:
-            for i in incident[v]:
-                meet[i] -= 1
-                if not meet[i]:
-                    touching.discard(i)
-        for v in edge_sets[j]:
-            through[v].pop()
-        covered.difference_update(added.pop())
-        if meet[j]:
-            touching.add(j)
-
-    # depth-first search with an explicit stack: stack[d] holds the edges
-    # still to try after the first d chosen ones.  The edges that miss
-    # covered are listed lazily: when stack[d] is next read, the first d
-    # chosen edges are back in place, and so is meet.
-    stack: list[Iterator[int]] = [iter(range(m))]
-    while stack:
-        j = next(stack[-1], None)
-        if j is None:  # every extension of chosen failed
-            stack.pop()
-            if chosen:
-                failed.add(frozenset(chosen))
-                unchoose()
-            continue
-        choose(j)
-        budget.spend()
-        if len(chosen) == m:
-            return list(chosen)
-        if frozenset(chosen) in failed:
-            unchoose()
-            continue
-        near = []
-        for i in touching:
-            inter = edge_sets[i] & covered
-            # a chosen edge holding inter passes through each of its vertices
-            if meet[i] <= ell and any(inter <= edge_sets[c] for c in through[min(inter)]):
-                near.append((-meet[i], i))
-        # prefer high-overlap extensions: they constrain the future least
-        apart = (i for i in range(m) if not meet[i])
-        stack.append(itertools.chain([i for _, i in sorted(near)], apart))
-    return None
+    m, edge_sets, incident = h.num_edges, h.edge_sets, h.incident
+    live = [len(through) for through in incident]  # unstripped edges per vertex
+    stripped, queued = bytearray(m), bytearray(b"\x01") * m
+    heap = list(range(1 - m, 1))  # negated edge indices, ascending: a max-heap of edges
+    order: list[int] = []
+    while heap:
+        f = -heappop(heap)
+        queued[f] = 0
+        shared = [v for v in edge_sets[f] if live[v] > 1]
+        if len(shared) > ell or shared and not any(
+            g != f and not stripped[g] and edge_sets[g].issuperset(shared)
+            for g in incident[shared[0]]
+        ):
+            continue  # not a leaf yet; a neighbour's stripping queues it again
+        stripped[f] = 1
+        order.append(f)
+        for v in edge_sets[f]:
+            live[v] -= 1
+            for g in incident[v]:
+                if not (stripped[g] or queued[g]):
+                    queued[g] = 1
+                    heappush(heap, -g)
+    return order[::-1] if len(order) == m else None
 
 
 def verify_ell_tree(h: KUniformHypergraph, ell: int) -> bool:

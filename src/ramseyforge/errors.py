@@ -27,7 +27,6 @@ ARROWS_NODE_CAP = 100_000_000  # decision nodes of the arrow search
 COPY_NODE_CAP = 10_000_000  # candidates tried by a copy or orbit search
 ISOMORPHISM_NODE_CAP = 5_000_000  # candidates of find_isomorphism's copy search
 INDEPENDENCE_NODE_CAP = 2_000_000  # branch-and-bound nodes of independence_number
-ELL_TREE_NODE_CAP = 2_000_000  # edge-order prefixes entered by find_ell_tree_order
 MAX_HOST_EDGES = 18  # edges of a host that size_ramsey_upper decides
 EXACT_VCAP = 9  # vertices of a host that size_ramsey_exact_tiny scans
 EXACT_ECAP = 12  # edges of a host that size_ramsey_exact_tiny scans

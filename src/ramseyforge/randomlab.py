@@ -490,7 +490,7 @@ def iterated_procedure(
         # Only an edge with k - 1 trash vertices can hold a trash tuple.  The
         # tuples are disjoint, so for k > 2 an edge holds at most one; for
         # k = 2 the other vertex w is trash too.
-        a_set = tuple(state.path)
+        a_set = state.path
         x = y = 0
         trash = set(state.trash)
         trash_vertices = set().union(*state.trash)

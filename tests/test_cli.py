@@ -35,6 +35,8 @@ def test_construct_ell_path(tmp_path, capsys):
 
 def test_construct_bad_params_exit_1(capsys):
     assert main(["construct", "ell-path", "--k", "3", "--l", "1", "--n", "6"]) == 1
+    assert main(["construct", "blowup", "--k", "4", "--l", "1"]) == 1
+    assert capsys.readouterr().err.endswith("error: blowup needs --host (a graph JSON file)\n")
 
 
 def test_arrows_k6_k3(tmp_path):
@@ -96,6 +98,28 @@ def test_embed_coloring_without_color_exit_1(tmp_path, capsys):
     argv = ["embed", "--pattern", p3, "--host", k4, "--coloring", str(coloring)]
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: --coloring requires --color\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--color", "red"], "error: --color requires --coloring\n"),
+    (["--color", "green"], "error: unknown color 'green'; use red or blue\n"),
+])
+def test_embed_bad_color_exit_1(tmp_path, capsys, argv, message):
+    k4 = write_hg(tmp_path / "k4.json", clique(2, 4))
+    p3 = write_hg(tmp_path / "p3.json", ell_path(2, 1, 3))
+    assert main(["embed", "--pattern", p3, "--host", k4] + argv) == 1
+    assert capsys.readouterr().err == message
+
+
+def test_construct_gadget_family_and_steiner(tmp_path):
+    out = tmp_path / "c.json"
+    assert main(["construct", "gadget-family", "--t", "2", "--q", "2", "--out", str(out)]) == 0
+    family = load(out)
+    assert set(family) == {"members", "union"} and len(family["members"]) == 2
+    assert family["union"]["n"] == sum(m["n"] for m in family["members"])
+    assert main(["construct", "steiner", "--t", "2", "--k", "3", "--n", "7", "--out", str(out)]) == 0
+    steiner = KUniformHypergraph.from_json(out.read_text())
+    assert (steiner.k, steiner.n) == (3, 7) and steiner.num_edges > 0
 
 
 def test_color_schemes(tmp_path):

@@ -26,7 +26,7 @@ from ramseyforge.constructions import (
     star_tree,
     verify_ell_tree,
 )
-from ramseyforge.errors import BudgetExceededError, UnreachableOrderError
+from ramseyforge.errors import UnreachableOrderError
 from ramseyforge.hypergraph import KUniformHypergraph, are_isomorphic
 from ramseyforge.randomlab import GnpParams, gnp
 
@@ -155,32 +155,88 @@ def _old_ell_tree_order(h, ell):
     return None, nodes
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_ell_tree_order_matches_the_full_rescan(data):
-    # relabelled random ell-trees, some with one more edge, checked at every
-    # ell: the same order or None, after the same number of prefixes
+def _is_ell_tree_order(h, ell, order):
+    """order lists every edge once, and each edge meets the union of the
+    earlier ones in at most ell vertices, all inside one earlier edge."""
+    if sorted(order) != list(range(h.num_edges)):
+        return False
+    covered = set()
+    for i, j in enumerate(order):
+        inter = h.edge_sets[j] & covered
+        if i and (len(inter) > ell or not any(inter <= h.edge_sets[c] for c in order[:i])):
+            return False
+        covered |= h.edge_sets[j]
+    return True
+
+
+def _relabelled_ell_tree(data):
+    """(k, ell, n, edges): a random ell-tree of at most seven edges, its
+    vertices relabelled, or None when the generator misses its order."""
     k = data.draw(st.integers(2, 4))
     ell = data.draw(st.integers(1, k - 1))
     # each edge after the first adds at least k - ell vertices, so at most
-    # seven edges: a failing search enters at most every subset of them
+    # seven edges: a failing reference search enters at most every subset
     n = data.draw(st.integers(k, k + 6 * (k - ell)))
     try:
         tree = random_ell_tree(k, ell, n, data.draw(st.integers(0, 10**6)))
     except UnreachableOrderError:
-        return
+        return None
     perm = data.draw(st.permutations(range(n)))
-    edges = {tuple(sorted(perm[v] for v in e)) for e in tree.edges}
+    return k, ell, n, {tuple(sorted(perm[v] for v in e)) for e in tree.edges}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_ell_tree_order_matches_the_full_rescan(data):
+    # relabelled random ell-trees, some with one more edge, checked at every
+    # ell: the same decision as the exhaustive search, and a valid order
+    drawn = _relabelled_ell_tree(data)
+    if drawn is None:
+        return
+    k, _, n, edges = drawn
     edges |= set(data.draw(st.lists(
         st.sets(st.integers(0, n - 1), min_size=k, max_size=k).map(lambda e: tuple(sorted(e))),
         max_size=1,
     )))
     h = KUniformHypergraph.from_edges(k, n, edges)
     for each in range(1, k):
-        order, nodes = _old_ell_tree_order(h, each)
-        assert find_ell_tree_order(h, each, node_cap=nodes) == order
-        with pytest.raises(BudgetExceededError):
-            find_ell_tree_order(h, each, node_cap=nodes - 1)
+        order = find_ell_tree_order(h, each)
+        assert (order is None) == (_old_ell_tree_order(h, each)[0] is None)
+        assert order is None or _is_ell_tree_order(h, each, order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_dropping_any_leaf_of_an_ell_tree_leaves_an_ell_tree(data):
+    # the lemma that makes leaf stripping exact, checked by the exhaustive
+    # search: a leaf meets the union of the other edges in at most ell
+    # vertices, all inside one other edge
+    drawn = _relabelled_ell_tree(data)
+    if drawn is None:
+        return
+    k, ell, n, edges = drawn
+    edges = sorted(edges)
+    for f in edges:
+        rest = [e for e in edges if e != f]
+        inter = set(f) & set().union(*rest)
+        if len(inter) <= ell and any(inter <= set(e) for e in rest):
+            h = KUniformHypergraph.from_edges(k, n, rest)
+            order = _old_ell_tree_order(h, ell)[0]
+            assert order is not None and _is_ell_tree_order(h, ell, order)
+
+
+def test_ell_tree_order_of_an_edgeless_hypergraph_is_empty():
+    assert find_ell_tree_order(KUniformHypergraph.from_edges(3, 5, []), 1) == []
+
+
+@pytest.mark.parametrize("k, ell, n, extra", [(3, 1, 81, (0, 40, 80)), (3, 2, 42, (0, 20, 41))])
+def test_long_path_plus_a_chord_is_rejected_at_once(k, ell, n, extra):
+    # a 40-edge path closed into a cycle by one chord: a search over edge
+    # orders refutes more than 2,000,000 prefixes before it gives up
+    h = KUniformHypergraph.from_edges(k, n, list(ell_path(k, ell, n).edges) + [extra])
+    start = time.perf_counter()
+    assert find_ell_tree_order(h, ell) is None
+    assert time.perf_counter() - start < 1.0
 
 
 def _nested_codes(code):
@@ -219,9 +275,7 @@ def test_ell_tree_order_node_count_is_pinned():
     h = KUniformHypergraph.from_edges(3, 9, [
         (0, 1, 7), (0, 5, 6), (1, 3, 7), (1, 4, 6), (2, 5, 6), (4, 5, 6), (5, 6, 8)
     ])
-    assert find_ell_tree_order(h, 2, node_cap=297) is None
-    with pytest.raises(BudgetExceededError):
-        find_ell_tree_order(h, 2, node_cap=296)
+    assert find_ell_tree_order(h, 2) is None
 
 
 def test_ell_paths_are_ell_trees():

@@ -436,6 +436,10 @@ def test_greedy_tree_embed_failure_report():
     tiny = KUniformHypergraph.from_edges(3, 3, [(0, 1, 2)])
     res = greedy_tree_embed(tree, tiny, 1)
     assert isinstance(res, EmbedFailure)
+    # the edge fills the host, so isolated tree vertex 3 has no spare host
+    # vertex left; the failure comes after every edge is placed
+    edge_and_vertex = KUniformHypergraph.from_edges(3, 4, [(0, 1, 2)])
+    assert greedy_tree_embed(edge_and_vertex, tiny, 1) == EmbedFailure((3,), 1)
 
 
 def test_greedy_tree_embed_rejects_non_tree():

@@ -175,6 +175,27 @@ def test_budget_defaults_live_in_errors():
     assert not literals, f"budget-sized integer literals outside errors.py: {literals}"
 
 
+def test_every_errors_constant_is_read_elsewhere():
+    # a default cap or host cap that no module reads is a dead setting
+    errors = ROOT / "src" / "ramseyforge" / "errors.py"
+    constants = {
+        target.id
+        for node in ast.parse(errors.read_text()).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.isupper()
+    }
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for path in sorted(ROOT.glob("src/ramseyforge/*.py"))
+        if path != errors
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute)
+    }
+    assert constants and not constants - read, f"unread in errors.py: {sorted(constants - read)}"
+
+
 def test_no_module_reads_the_environment():
     # every setting that shapes a run is a parsed option, and so appears in
     # its report's config
