@@ -265,7 +265,14 @@ def _cmd_size_ramsey(args) -> int:
     else:
         bound = size_ramsey_exact_tiny(pattern, args.vcap, args.ecap, args.budget)
     _write_json(args.out, _report(args, asdict(bound)))
-    return EXIT_BUDGET if bound.upper is None else EXIT_OK
+    if bound.upper is None:  # upper mode only: exact mode raises CapsTooSmallError
+        print(
+            "caps too small: no host stream verified a host within "
+            f"--max-host-edges {args.max_host_edges}",
+            file=sys.stderr,
+        )
+        return EXIT_BUDGET
+    return EXIT_OK
 
 
 # -- randomlab ----------------------------------------------------------------

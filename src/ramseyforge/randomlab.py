@@ -14,7 +14,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import add, eq, ge, itemgetter
+from operator import add, eq, itemgetter
 from typing import Iterable, Optional
 
 from .constructions import clique_hypergraph, enumerate_cliques
@@ -393,6 +393,67 @@ def _least_extension(tail, free, edge_set) -> Optional[int]:
     return None
 
 
+def _grow_path_on_rows(h: KUniformHypergraph, flags: bytearray, m: int) -> ProcedureState:
+    """_grow_path on the edges of h whose flag is set, read through the
+    incidence rows h.incident; iterated_procedure states why its one seed
+    cursor is exact."""
+    k, edges, rows = h.k, h.edges, h.incident
+    used = bytearray(h.n)  # on the path or in the trash
+    path: list[int] = []
+    trash: list[tuple[int, ...]] = []
+    seeds = extensions = rewinds = steps = 0
+    cursor = 0
+    status = None
+
+    while status is None:
+        steps += 1
+        if not path:
+            cursor = flags.find(1, cursor)
+            while cursor >= 0 and any(map(used.__getitem__, edges[cursor])):
+                cursor = flags.find(1, cursor + 1)
+            if cursor < 0:
+                status = NO_SEED
+                break
+            path = list(edges[cursor])
+            cursor += 1
+            for v in path:
+                used[v] = 1
+            seeds += 1
+        else:
+            tail = path[-(k - 1):]
+            through = set(rows[tail[0]]).intersection(*map(rows.__getitem__, tail[1:]))
+            ext = min(
+                (w for i in through if flags[i] for w in edges[i] if not used[w]),
+                default=None,
+            )
+            if ext is None:  # dead tail: retire it and rewind
+                trash.append(tuple(sorted(tail)))
+                del path[-(k - 1):]
+                rewinds += 1
+                if len(trash) >= m:
+                    status = TRASH_FULL
+                elif len(path) < k:
+                    for v in path:
+                        used[v] = 0
+                    path = []
+                continue
+            path.append(ext)
+            used[ext] = 1
+            extensions += 1
+        if len(path) >= m:
+            status = PATH_FOUND
+
+    return ProcedureState(
+        status=status,
+        path=tuple(path),
+        trash=tuple(trash),
+        seeds=seeds,
+        extensions=extensions,
+        rewinds=rewinds,
+        steps=steps,
+    )
+
+
 # -- iterated procedure and red/blue accounting -----------------------------
 
 
@@ -454,19 +515,34 @@ def iterated_procedure(
     Terminates on NoSeed (normal), PathFound (a monochromatic tight path
     of order m exists) or when the round cap is exceeded, which is flagged
     as an anomaly rather than raised.
+
+    Round 1 scans the sought-color edge list (_grow_path), so a host whose
+    first round ends in a path never builds its incidence rows.  Once a
+    round ends without a path, the host is read through h.incident: per-edge
+    flags mark the live sought-color edges, a round's accounting visits the
+    live edges through each trash tuple, and later rounds grow the path on
+    the rows (_grow_path_on_rows).  There a tail's extension is the least
+    unused vertex of the flagged edges through all of the tail's vertices,
+    and seed edges come from one cursor over the flagged positions that
+    never moves back within a round.  The cursor is exact: a seed is sought
+    only on an empty path, so an edge passed over holds a trash vertex, and
+    trash never returns to the unused set; and the chosen seed edge loses a
+    vertex to the trash before the path empties, since the path empties
+    only when a rewind leaves fewer than k vertices, and the retired tail
+    then holds the seed edge's last vertex.
     """
     if m < 1:  # else a zero round cap reports an anomaly before any round
         raise ValueError("need m >= 1")
     k = h.k
     if round_cap is None:
         round_cap = 4 * k * m
-    t_sought = coloring.colors.count(color)
+    colors = coloring.colors
+    t_sought = colors.count(color)
     t_other = h.num_edges - t_sought
 
-    # the current host as aligned edge and colour lists
-    edges, colors = list(h.edges), list(coloring.colors)
+    flags: Optional[bytearray] = None  # built when round 1 ends without a path
     rounds: list[RoundRecord] = []
-    x_counts: dict[tuple[int, ...], int] = {}
+    x_counts: dict[int, int] = {}
     sum_x = sum_y = z_c = 0
     c_final: tuple[int, ...] = ()
     found_path = None
@@ -476,8 +552,11 @@ def iterated_procedure(
         if len(rounds) >= round_cap:
             cap_exceeded = True
             break
-        sought = list(compress(edges, map(eq, colors, repeat(color))))
-        state = _grow_path(k, h.n, sought, m)
+        if flags is None:
+            sought = list(compress(h.edges, map(eq, colors, repeat(color))))
+            state = _grow_path(k, h.n, sought, m)
+        else:
+            state = _grow_path_on_rows(h, flags, m)
 
         if state.status == PATH_FOUND:
             found_path = state.path
@@ -486,42 +565,38 @@ def iterated_procedure(
             )
             break
 
-        # count x and y, and drop the sought-color edges through the trash.
-        # Only an edge with k - 1 trash vertices can hold a trash tuple.  The
-        # tuples are disjoint, so for k > 2 an edge holds at most one; for
-        # k = 2 the other vertex w is trash too.
+        # count x and y over the live edges through each trash tuple, and drop
+        # the sought-color ones.  The tuples are disjoint, so for k > 2 an
+        # edge holds at most one; for k = 2 both vertices of an edge may be
+        # trash, and the edge counts once, under the lesser.
+        if flags is None:
+            flags = bytearray(map(eq, colors, repeat(color)))
+        edges, rows = h.edges, h.incident
         a_set = state.path
         x = y = 0
-        trash = set(state.trash)
         trash_vertices = set().union(*state.trash)
         inside = trash_vertices.union(a_set)
-        hits = vertex_hits(edges, k, trash_vertices, h.n)
-        keep = bytearray([1]) * len(edges)
-        for i in compress(range(len(edges)), map(ge, hits, repeat(k - 1))):
-            e = edges[i]
-            member = next(
-                (t for t in itertools.combinations(e, k - 1) if t in trash), None
-            )
-            if member is None:
-                continue
-            if colors[i] == color:
-                keep[i] = 0
-            (w,) = set(e) - set(member)
-            if w in inside:
-                y += 1
-            else:
-                x += 1
-                x_counts[e] = x_counts.get(e, 0) + 1
+        for t in state.trash:
+            for i in set(rows[t[0]]).intersection(*map(rows.__getitem__, t[1:])):
+                if not flags[i] and colors[i] == color:
+                    continue  # dropped in an earlier round
+                (w,) = set(edges[i]).difference(t)
+                if k == 2 and w < t[0] and w in trash_vertices:
+                    continue  # counted under w
+                flags[i] = 0
+                if w in inside:
+                    y += 1
+                else:
+                    x += 1
+                    x_counts[i] = x_counts.get(i, 0) + 1
         sum_x += x
         sum_y += y
         rounds.append(RoundRecord(state.status, state.trash, a_set, x, y, state))
 
         if state.status == NO_SEED:
             c_final = tuple(sorted(trash_vertices))
-            z_c = h.num_edges - vertex_hits(h.edges, k, trash_vertices, h.n).count(0)
+            z_c = len(set().union(*map(rows.__getitem__, trash_vertices)))
             break
-        edges = list(compress(edges, keep))
-        colors = list(compress(colors, keep))
 
     # the per-round families are pairwise disjoint iff no tuple repeats
     trash_tuples = [t for r in rounds for t in set(r.trash)]

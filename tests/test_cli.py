@@ -194,7 +194,9 @@ def test_size_ramsey_upper_pattern_over_the_edge_cap(tmp_path, capsys):
     assert main(["size-ramsey", "upper", "--pattern", p8, "--max-host-edges", "5",
                  "--out", str(rep)]) == 2
     assert load(rep)["upper"] is None and load(rep)["lower"] == 7
-    assert capsys.readouterr().err == ""
+    assert capsys.readouterr().err == (
+        "caps too small: no host stream verified a host within --max-host-edges 5\n"
+    )
 
 
 def test_size_ramsey_exact_budget_exit(tmp_path, capsys):

@@ -109,7 +109,8 @@ def test_random_ell_tree_verifies(params, seed):
 
 
 def test_ell_tree_order_depth_is_bounded_by_the_budget(shallow_stack):
-    # the order search goes one edge deeper per edge placed
+    # leaves are stripped in a loop over a heap, so no frame is taken per
+    # edge and 100 frames of stack order a 300-edge path
     order = find_ell_tree_order(ell_path(3, 1, 601), 1)
     assert sorted(order) == list(range(300))
 
@@ -249,11 +250,10 @@ def _nested_codes(code):
 
 
 def test_ell_tree_order_work_grows_with_the_frontier_only():
-    # at each node only the edges meeting the covered vertices are listed,
-    # and a chosen edge holding their overlap is looked up through one of
-    # its vertices, so the 1,200-edge loose path runs about 63 trace events
-    # per edge (75,608 in all); rescanning every edge at every node ran as
-    # many on the first 100 edges
+    # stripping an edge queues again only the edges meeting it, and a leaf
+    # test looks up the edge holding the shared vertices through one of
+    # their rows, so the 1,200-edge loose path runs about 43 trace events
+    # per edge (51,599 in all)
     codes, events = _nested_codes(find_ell_tree_order.__code__), [0]
 
     def count(frame, event, arg):

@@ -427,11 +427,12 @@ def scan_grow_path(k, n, sought, m):
     return ProcedureState(status, tuple(path), tuple(trash), seeds, extensions, rewinds, steps)
 
 
-def pairs_iterated_procedure(h, coloring, color, m):
+def pairs_iterated_procedure(h, coloring, color, m, round_cap=None):
     """Reference accounting that keeps the host as (edge, colour) pairs and
     tests every edge of every round for a trash tuple."""
     k = h.k
-    round_cap = 4 * k * m
+    if round_cap is None:
+        round_cap = 4 * k * m
     t_sought = sum(1 for c in coloring.colors if c == color)
     current = list(zip(h.edges, coloring.colors))
     rounds, x_counts = [], {}
@@ -505,8 +506,12 @@ def pairs_iterated_procedure(h, coloring, color, m):
     density=st.integers(0, 12),
     seed=st.integers(0, 2**32),
     m=st.integers(1, 8),
+    round_cap=st.sampled_from((None, 1, 2, 3)),
+    color=st.sampled_from((RED, BLUE)),
 )
-def test_iterated_procedure_matches_the_scan_reference(k, n, density, seed, m):
+def test_iterated_procedure_matches_the_scan_reference(
+    k, n, density, seed, m, round_cap, color
+):
     # random k-graphs with up to 12n edges: about one run in fifteen takes
     # more than one round
     rng = random.Random(seed)
@@ -515,6 +520,61 @@ def test_iterated_procedure_matches_the_scan_reference(k, n, density, seed, m):
     host = KUniformHypergraph(k, n, tuple(sorted(rng.sample(candidates, size))))
     coloring = EdgeColoring(host, tuple(rng.choice((RED, BLUE)) for _ in host.edges))
     # dataclass equality: every field, rounds[*].state included
-    assert iterated_procedure(host, coloring, BLUE, m) == pairs_iterated_procedure(
-        host, coloring, BLUE, m
-    )
+    assert iterated_procedure(
+        host, coloring, color, m, round_cap
+    ) == pairs_iterated_procedure(host, coloring, color, m, round_cap)
+
+
+def _counts_an_edge_inside_its_trash(host, coloring, color, acc):
+    """Whether a round of a k = 2 run that ends without a path finds an edge
+    of the round's host with both vertices in its trash."""
+    dropped = set()
+    for r in acc.rounds:
+        if r.status == PATH_FOUND:
+            return False
+        trash = {v for (v,) in r.trash}
+        if any(
+            trash.issuperset(e) and (c != color or dropped.isdisjoint(e))
+            for e, c in zip(host.edges, coloring.colors)
+        ):
+            return True
+        dropped |= trash
+    return False
+
+
+def test_iterated_procedure_on_sparse_clique_hosts_matches_the_scan_reference():
+    # sparse hosts take several rounds, so the rounds after the first, grown
+    # and counted on the incidence rows, are compared many times over
+    deep = double_trash = 0
+    for k, n, p in [(2, 60, 0.03), (3, 60, 0.2), (4, 50, 0.35)]:
+        for seed in range(6):
+            host = clique_hypergraph(gnp(GnpParams(n=n, p=p, seed=seed)), k)
+            rng = random.Random(seed)
+            coloring = EdgeColoring(
+                host, tuple(rng.choice((RED, BLUE)) for _ in host.edges)
+            )
+            for color in (RED, BLUE):
+                for m in (k + 2, 2 * k + 3):
+                    acc = iterated_procedure(host, coloring, color, m)
+                    assert acc == pairs_iterated_procedure(host, coloring, color, m)
+                    deep += len(acc.rounds) >= 3
+                    if k == 2:
+                        double_trash += _counts_an_edge_inside_its_trash(
+                            host, coloring, color, acc
+                        )
+    assert deep >= 5
+    assert double_trash >= 1  # a k = 2 edge counted once under its lesser vertex
+
+
+def test_incidence_rows_are_built_only_after_a_round_without_a_path():
+    # the first round scans the edge list; only a round that ends without a
+    # path makes the later rounds read the host's rows
+    host, coloring = make_host_and_coloring(30, 0.3, 1, 1)
+    acc = iterated_procedure(host, coloring, BLUE, 6)
+    assert [r.status for r in acc.rounds] == [PATH_FOUND]
+    assert "incident" not in host.__dict__
+    host, coloring = make_host_and_coloring(30, 0.3, 0, 0)
+    assert "incident" not in host.__dict__
+    acc = iterated_procedure(host, coloring, BLUE, 6)
+    assert acc.rounds[0].status == TRASH_FULL and len(acc.rounds) > 1
+    assert "incident" in host.__dict__
