@@ -255,7 +255,13 @@ def _cmd_ramsey(args) -> int:
     n = ramsey_number_small(pattern, args.cap, args.budget)
     body = {"ramsey_number": n, "result": "Found" if n is not None else "Unknown"}
     _write_json(args.out, _report(args, body))
-    return EXIT_OK if n is not None else EXIT_BUDGET
+    if n is None:
+        print(
+            f"caps too small: no complete host up to --cap {args.cap} arrows the pattern",
+            file=sys.stderr,
+        )
+        return EXIT_BUDGET
+    return EXIT_OK
 
 
 def _cmd_size_ramsey(args) -> int:

@@ -15,7 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import add, eq, itemgetter
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .constructions import clique_hypergraph, enumerate_cliques
 from .hypergraph import EdgeColoring, KUniformHypergraph
@@ -321,17 +321,36 @@ def grow_monochromatic_tight_path(
     m vertices (PathFound).  Seed edges and extension vertices are chosen
     lexicographically least, so runs are reproducible.
     """
-    colored = [e for e, c in zip(h.edges, coloring.colors) if c == color]
-    return _grow_path(h.k, h.n, colored, m)
+    _check_coloring_host(h, coloring)
+    sought = list(compress(h.edges, map(eq, coloring.colors, repeat(color))))
+    return _grow_path(h.k, h.n, sought, m, _least_extension, set(sought))
 
 
-def _grow_path(k: int, n: int, sought: list[tuple[int, ...]], m: int) -> ProcedureState:
-    """grow_monochromatic_tight_path on the sorted edges of the sought color."""
+def _check_coloring_host(h: KUniformHypergraph, coloring: EdgeColoring) -> None:
+    # identity first: the CLI colours the host it built
+    if coloring.host is not h and coloring.host != h:
+        raise ValueError("coloring host differs from the host searched")
+
+
+def _grow_path(
+    k: int, n: int, candidates: Iterable[tuple[int, ...]], m: int, extend: Callable, sought
+) -> ProcedureState:
+    """grow_monochromatic_tight_path on the sought-color edges.
+
+    candidates holds the sought edges in ascending order; extend(tail,
+    unused, sought) is the least unused w with tail plus w a sought edge,
+    or None.  Seeds come from one pass over candidates that never moves
+    back within the run.  That is exact: a seed is sought only on an empty
+    path, so an edge passed over holds a trash vertex, and trash never
+    returns to the unused set; and the chosen seed edge loses a vertex to
+    the trash before the path empties, since the path empties only when a
+    rewind leaves fewer than k vertices, and the retired tail then holds
+    the seed edge's last vertex.
+    """
     if m < 1:
         raise ValueError("need m >= 1")
-    sought_set = set(sought)
-
     unused = set(range(n))
+    seeding = filter(unused.issuperset, candidates)  # unused changes in place
     path: list[int] = []
     trash: list[tuple[int, ...]] = []
     seeds = extensions = rewinds = steps = 0
@@ -340,16 +359,16 @@ def _grow_path(k: int, n: int, sought: list[tuple[int, ...]], m: int) -> Procedu
     while status is None:
         steps += 1
         if not path:
-            seed_edge = next((e for e in sought if unused.issuperset(e)), None)
+            seed_edge = next(seeding, None)
             if seed_edge is None:
                 status = NO_SEED
                 break
             path = list(seed_edge)
-            unused -= set(seed_edge)
+            unused.difference_update(seed_edge)
             seeds += 1
         else:
             tail = path[-(k - 1):]
-            ext = _least_extension(sorted(tail), sorted(unused), sought_set)
+            ext = extend(tail, unused, sought)
             if ext is None:  # dead tail: retire it and rewind
                 trash.append(tuple(sorted(tail)))
                 del path[-(k - 1):]
@@ -357,7 +376,7 @@ def _grow_path(k: int, n: int, sought: list[tuple[int, ...]], m: int) -> Procedu
                 if len(trash) >= m:
                     status = TRASH_FULL
                 elif len(path) < k:
-                    unused |= set(path)
+                    unused.update(path)
                     path = []
                 continue
             path.append(ext)
@@ -377,11 +396,13 @@ def _grow_path(k: int, n: int, sought: list[tuple[int, ...]], m: int) -> Procedu
     )
 
 
-def _least_extension(tail, free, edge_set) -> Optional[int]:
-    """The least w in free with tail plus w, sorted, in edge_set; None if
-    there is none.  tail and free are sorted and disjoint.  The tail's
-    vertices split free into runs, and every w of one run takes the same
-    place in the sorted edge, so each run is one pass of C-level lookups."""
+def _least_extension(tail, unused, edge_set) -> Optional[int]:
+    """_grow_path's extension rule on edge_set, the set of sought edges.
+    The tail's vertices split the sorted unused vertices into runs, and every w of one run
+    takes the same place in the sorted edge, so each run is one pass of
+    C-level lookups."""
+    tail = sorted(tail)
+    free = sorted(unused)
     lo = 0
     for i, hi in enumerate([*(bisect_left(free, t) for t in tail), len(free)]):
         run = free[lo:hi]
@@ -393,64 +414,15 @@ def _least_extension(tail, free, edge_set) -> Optional[int]:
     return None
 
 
-def _grow_path_on_rows(h: KUniformHypergraph, flags: bytearray, m: int) -> ProcedureState:
-    """_grow_path on the edges of h whose flag is set, read through the
-    incidence rows h.incident; iterated_procedure states why its one seed
-    cursor is exact."""
-    k, edges, rows = h.k, h.edges, h.incident
-    used = bytearray(h.n)  # on the path or in the trash
-    path: list[int] = []
-    trash: list[tuple[int, ...]] = []
-    seeds = extensions = rewinds = steps = 0
-    cursor = 0
-    status = None
-
-    while status is None:
-        steps += 1
-        if not path:
-            cursor = flags.find(1, cursor)
-            while cursor >= 0 and any(map(used.__getitem__, edges[cursor])):
-                cursor = flags.find(1, cursor + 1)
-            if cursor < 0:
-                status = NO_SEED
-                break
-            path = list(edges[cursor])
-            cursor += 1
-            for v in path:
-                used[v] = 1
-            seeds += 1
-        else:
-            tail = path[-(k - 1):]
-            through = set(rows[tail[0]]).intersection(*map(rows.__getitem__, tail[1:]))
-            ext = min(
-                (w for i in through if flags[i] for w in edges[i] if not used[w]),
-                default=None,
-            )
-            if ext is None:  # dead tail: retire it and rewind
-                trash.append(tuple(sorted(tail)))
-                del path[-(k - 1):]
-                rewinds += 1
-                if len(trash) >= m:
-                    status = TRASH_FULL
-                elif len(path) < k:
-                    for v in path:
-                        used[v] = 0
-                    path = []
-                continue
-            path.append(ext)
-            used[ext] = 1
-            extensions += 1
-        if len(path) >= m:
-            status = PATH_FOUND
-
-    return ProcedureState(
-        status=status,
-        path=tuple(path),
-        trash=tuple(trash),
-        seeds=seeds,
-        extensions=extensions,
-        rewinds=rewinds,
-        steps=steps,
+def _least_flagged_extension(tail, unused, flagged) -> Optional[int]:
+    """_grow_path's extension rule on the edges of a host h whose flag is
+    set, flagged = (h.edges, h.incident, flags): the least unused vertex
+    of the flagged edges through all of the tail's vertices."""
+    edges, rows, flags = flagged
+    through = set(rows[tail[0]]).intersection(*map(rows.__getitem__, tail[1:]))
+    return min(
+        (w for i in through if flags[i] for w in edges[i] if w in unused),
+        default=None,
     )
 
 
@@ -516,23 +488,16 @@ def iterated_procedure(
     of order m exists) or when the round cap is exceeded, which is flagged
     as an anomaly rather than raised.
 
-    Round 1 scans the sought-color edge list (_grow_path), so a host whose
-    first round ends in a path never builds its incidence rows.  Once a
-    round ends without a path, the host is read through h.incident: per-edge
-    flags mark the live sought-color edges, a round's accounting visits the
-    live edges through each trash tuple, and later rounds grow the path on
-    the rows (_grow_path_on_rows).  There a tail's extension is the least
-    unused vertex of the flagged edges through all of the tail's vertices,
-    and seed edges come from one cursor over the flagged positions that
-    never moves back within a round.  The cursor is exact: a seed is sought
-    only on an empty path, so an edge passed over holds a trash vertex, and
-    trash never returns to the unused set; and the chosen seed edge loses a
-    vertex to the trash before the path empties, since the path empties
-    only when a rewind leaves fewer than k vertices, and the retired tail
-    then holds the seed edge's last vertex.
+    Round 1 is grow_monochromatic_tight_path, so a host whose first round
+    ends in a path never builds its incidence rows.  Once a round ends
+    without a path, the host is read through h.incident: per-edge flags
+    mark the live sought-color edges, a round's accounting visits the live
+    edges through each trash tuple, and later rounds take their seeds and
+    extensions from the flagged edges.
     """
     if m < 1:  # else a zero round cap reports an anomaly before any round
         raise ValueError("need m >= 1")
+    _check_coloring_host(h, coloring)
     k = h.k
     if round_cap is None:
         round_cap = 4 * k * m
@@ -553,10 +518,12 @@ def iterated_procedure(
             cap_exceeded = True
             break
         if flags is None:
-            sought = list(compress(h.edges, map(eq, colors, repeat(color))))
-            state = _grow_path(k, h.n, sought, m)
+            state = grow_monochromatic_tight_path(h, coloring, color, m)
         else:
-            state = _grow_path_on_rows(h, flags, m)
+            flagged = (h.edges, h.incident, flags)
+            state = _grow_path(
+                k, h.n, compress(h.edges, flags), m, _least_flagged_extension, flagged
+            )
 
         if state.status == PATH_FOUND:
             found_path = state.path

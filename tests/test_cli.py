@@ -145,13 +145,17 @@ def test_seed_defaults_to_zero(tmp_path):
     assert outputs[2] != outputs[3]
 
 
-def test_ramsey_command(tmp_path):
+def test_ramsey_command(tmp_path, capsys):
     k3 = write_hg(tmp_path / "k3.json", clique(2, 3))
     rep = tmp_path / "r.json"
     assert main(["ramsey", "--pattern", k3, "--cap", "8", "--out", str(rep)]) == 0
     assert load(rep)["ramsey_number"] == 6
+    assert capsys.readouterr().err == ""
     assert main(["ramsey", "--pattern", k3, "--cap", "5", "--out", str(rep)]) == 2
     assert load(rep)["result"] == "Unknown"
+    assert capsys.readouterr().err == (
+        "caps too small: no complete host up to --cap 5 arrows the pattern\n"
+    )
 
 
 def test_ramsey_budget_exit_names_the_host(tmp_path, capsys):

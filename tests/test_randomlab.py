@@ -525,6 +525,43 @@ def test_iterated_procedure_matches_the_scan_reference(
     ) == pairs_iterated_procedure(host, coloring, color, m, round_cap)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.sampled_from((2, 3, 4)),
+    n=st.integers(0, 24),
+    density=st.integers(0, 12),
+    seed=st.integers(0, 2**32),
+    m=st.integers(1, 8),
+    color=st.sampled_from((RED, BLUE)),
+)
+def test_grow_monochromatic_tight_path_matches_the_scan_reference(
+    k, n, density, seed, m, color
+):
+    # the public grower takes its seeds from one pass over the sought edges;
+    # the reference rescans them from the first at every seed
+    rng = random.Random(seed)
+    candidates = list(itertools.combinations(range(n), k))
+    size = rng.randint(0, min(len(candidates), density * n))
+    host = KUniformHypergraph(k, n, tuple(sorted(rng.sample(candidates, size))))
+    coloring = EdgeColoring(host, tuple(rng.choice((RED, BLUE)) for _ in host.edges))
+    sought = [e for e, c in zip(host.edges, coloring.colors) if c == color]
+    assert grow_monochromatic_tight_path(host, coloring, color, m) == scan_grow_path(
+        k, n, sought, m
+    )
+
+
+def test_growers_reject_a_coloring_of_another_host():
+    tight_path = KUniformHypergraph(3, 6, ((0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5)))
+    one_edge = KUniformHypergraph(3, 3, ((0, 1, 2),))
+    foreign = EdgeColoring(one_edge, (BLUE,))
+    for grow in (grow_monochromatic_tight_path, iterated_procedure):
+        with pytest.raises(ValueError, match="coloring host differs from the host searched"):
+            grow(tight_path, foreign, BLUE, 3)
+        # an equal host built apart is the same host
+        equal = EdgeColoring(KUniformHypergraph(3, 6, tight_path.edges), (BLUE,) * 4)
+        grow(tight_path, equal, BLUE, 3)
+
+
 def _counts_an_edge_inside_its_trash(host, coloring, color, acc):
     """Whether a round of a k = 2 run that ends without a path finds an edge
     of the round's host with both vertices in its trash."""

@@ -213,3 +213,24 @@ def test_no_module_reads_the_environment():
         "cannot change a report, such as the log level of ROADMAP item 6, "
         "must be exempted here by name"
     )
+
+
+def test_every_private_definition_is_used():
+    # a module-level helper that nothing calls is dead code left behind
+    # when its caller moved on
+    trees = [ast.parse(p.read_text()) for p in sorted(ROOT.glob("src/ramseyforge/*.py"))]
+    defined = {
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert not defined - used, f"private definitions never referenced: {sorted(defined - used)}"
